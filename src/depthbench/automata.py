@@ -16,13 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .meters import CostMeter
+from .meters import CapacityError, CostMeter
 
 DEFAULT_TABLE_BUDGET = 1 << 25  # max compiled-table entries
-
-
-class CapacityError(ValueError):
-    """A requested compiled table would exceed the entry budget."""
 
 
 def parse_tape(s: str) -> tuple[int, ...]:

@@ -4,7 +4,8 @@ Results go to stdout; meters and status go to stderr.  Exit codes: 0 on
 success, 1 on internal failure, 2 on usage or validation errors.  Every
 subcommand takes ``--config FILE`` naming a JSON object whose keys mirror
 the flag names exactly (e.g. ``"rows"``, ``"max-attempts"``); explicit
-flags win over config values, config values win over defaults.
+flags win over config values, config values win over defaults, and a key
+that is not a flag of the subcommand is a usage error.
 """
 
 from __future__ import annotations
@@ -23,24 +24,23 @@ EXIT_INTERNAL = 1
 EXIT_USAGE = 2
 
 
-def _load_config(args) -> dict:
-    path = getattr(args, "config", None)
-    if path is None:
-        return {}
+def _config_defaults(parser: argparse.ArgumentParser, path: str) -> dict:
+    """Map a JSON config's keys, spelt like the flags without ``--``, to ``parser`` dests.
+
+    A key that is neither a flag of the subcommand nor one of its
+    ``config_only`` keys (bench's ``cases``) is an error.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict):
         raise ValueError("config file must hold a JSON object")
-    return doc
-
-
-def _resolve(flag_value, cfg: dict, key: str, default):
-    """Explicit flag beats config beats default; config keys mirror flag names."""
-    if flag_value is not None:
-        return flag_value
-    if key in cfg:
-        return cfg[key]
-    return default
+    dests = {opt[2:]: a.dest for opt, a in parser._option_string_actions.items() if opt.startswith("--")}
+    del dests["config"], dests["help"]
+    dests.update((key, key) for key in parser.get_default("config_only"))
+    unknown = sorted(set(doc) - set(dests))
+    if unknown:
+        raise ValueError(f"unknown config key {unknown[0]!r} for {parser.prog} (allowed: {', '.join(sorted(dests))})")
+    return {dests[key]: value for key, value in doc.items()}
 
 
 def _print_meter(meter: CostMeter, **extras) -> None:
@@ -48,12 +48,9 @@ def _print_meter(meter: CostMeter, **extras) -> None:
     print(f"meter: work={meter.work} depth={meter.depth}{tail}", file=sys.stderr)
 
 
-def cmd_ca(args, cfg: dict) -> int:
+def cmd_ca(args) -> int:
     tape = automata.parse_tape(args.tape)
-    rows = int(_resolve(args.rows, cfg, "rows", 1))
-    row = _resolve(args.row, cfg, "row", None)
-    cell = _resolve(args.cell, cfg, "cell", None)
-    k = _resolve(args.k, cfg, "k", None)
+    rows, row, cell, k = int(args.rows), args.row, args.cell, args.k
     if cell is not None:
         if row is None:
             raise ValueError("--cell requires --row")
@@ -93,7 +90,7 @@ def cmd_ca(args, cfg: dict) -> int:
     return EXIT_OK
 
 
-def cmd_cvp(args, cfg: dict) -> int:
+def cmd_cvp(args) -> int:
     with open(args.netlist, "r", encoding="utf-8") as fh:
         circuit = parse_netlist(fh.read())
     bits = parse_assignment(args.assignment, circuit.n_inputs)
@@ -101,45 +98,37 @@ def cmd_cvp(args, cfg: dict) -> int:
     return EXIT_OK
 
 
-def cmd_s5(args, cfg: dict) -> int:
-    fold = _resolve(args.fold, cfg, "fold", "serial")
-    words_path = _resolve(args.words, cfg, "words", None)
-    if words_path is not None:
-        with open(words_path, "r", encoding="utf-8") as fh:
+def cmd_s5(args) -> int:
+    if args.words is not None:
+        with open(args.words, "r", encoding="utf-8") as fh:
             word = s5.parse_words(fh.read())
     else:
-        n = int(_resolve(args.n, cfg, "n", 16))
-        seed = int(_resolve(args.seed, cfg, "seed", 0))
-        word = s5.random_word(seed, n)
+        word = s5.random_word(int(args.seed), int(args.n))
     meter = CostMeter()
-    if fold == "serial":
+    if args.fold == "serial":
         product = s5.fold_serial(word, meter)
-    elif fold == "tree":
+    elif args.fold == "tree":
         product = s5.fold_tree(word, meter)
     else:
-        raise ValueError(f"unknown fold {fold!r} (expected serial or tree)")
+        raise ValueError(f"unknown fold {args.fold!r} (expected serial or tree)")
     print(s5.format_perm(product))
     _print_meter(meter)
     return EXIT_OK
 
 
-def cmd_do1(args, cfg: dict) -> int:
+def cmd_do1(args) -> int:
     with open(args.netlist, "r", encoding="utf-8") as fh:
         circuit = parse_netlist(fh.read())
     bits = parse_assignment(args.assignment, circuit.n_inputs)
     config = do1.CircuitConfig(circuit, bits)
-    extract = bool(_resolve(args.extract, cfg, "extract", False))
     d1 = do1.depth_of_one(config)
-    if not extract:
+    if not args.extract:
         print(d1)
         return EXIT_OK
-    noise = _resolve(args.noise, cfg, "noise", None)
-    exact = _resolve(args.exact_oracle, cfg, "exact-oracle", None)
-    seed = int(_resolve(args.seed, cfg, "seed", 0))
-    if noise is not None:
-        eps = float(noise)
-        oracle = do1.NoisyOracle(do1.optimal_value, eps, seed)
-    elif exact:
+    if args.noise is not None:
+        eps = float(args.noise)
+        oracle = do1.NoisyOracle(do1.optimal_value, eps, int(args.seed))
+    elif args.exact_oracle:
         eps = 1.0
         oracle = do1.optimal_value
     else:
@@ -161,19 +150,15 @@ def cmd_do1(args, cfg: dict) -> int:
     return EXIT_OK if ok else EXIT_INTERNAL
 
 
-def cmd_derand(args, cfg: dict) -> int:
-    p = float(_resolve(args.p, cfg, "p", 0.3))
-    if _resolve(args.bound_only, cfg, "bound-only", False):
-        delta = float(_resolve(args.delta, cfg, "delta", 0.01))
-        print(derand.hoeffding_k(p, delta))
+def cmd_derand(args) -> int:
+    p = float(args.p)
+    if args.bound_only:
+        print(derand.hoeffding_k(p, float(args.delta)))
         return EXIT_OK
-    n = int(_resolve(args.n, cfg, "n", 8))
-    vocab = int(_resolve(args.vocab, cfg, "vocab", 2))
-    delta_all = float(_resolve(args.delta_all, cfg, "delta-all", 0.5))
-    rng_seed = int(_resolve(args.rng_seed, cfg, "rng-seed", 0))
-    max_attempts = int(_resolve(args.max_attempts, cfg, "max-attempts", 32))
     decider = derand.SimulatedDecider(derand.word_parity, p)
-    result = derand.find_universal_seeds(decider, n, vocab, delta_all, rng_seed, max_attempts)
+    result = derand.find_universal_seeds(
+        decider, int(args.n), int(args.vocab), float(args.delta_all), int(args.rng_seed), int(args.max_attempts)
+    )
     print(
         json.dumps(
             {
@@ -193,24 +178,22 @@ def cmd_derand(args, cfg: dict) -> int:
     return EXIT_INTERNAL
 
 
-def cmd_bench(args, cfg: dict) -> int:
-    if "cases" not in cfg:
+def cmd_bench(args) -> int:
+    if args.cases is None:
         raise ValueError("bench needs --config FILE with a 'cases' array")
-    records = bench.run_suite(bench.load_suite(cfg))
+    records = bench.run_suite(bench.load_suite({"cases": args.cases}))
     csv_text = bench.emit_csv(records)
-    csv_target = _resolve(args.csv, cfg, "csv", "-")
-    if csv_target == "-":
+    if args.csv == "-":
         print(csv_text, end="")
     else:
-        with open(csv_target, "w", encoding="utf-8") as fh:
+        with open(args.csv, "w", encoding="utf-8") as fh:
             fh.write(csv_text)
-    report_target = _resolve(args.report, cfg, "report", None)
-    if report_target is not None:
+    if args.report is not None:
         text = bench.emit_report(records)
-        if report_target == "-":
+        if args.report == "-":
             print(text)
         else:
-            with open(report_target, "w", encoding="utf-8") as fh:
+            with open(args.report, "w", encoding="utf-8") as fh:
                 fh.write(text)
     errors = sum(1 for r in records if "error" in r.aux)
     print(f"ran {len(records)} cases ({errors} errors)", file=sys.stderr)
@@ -221,13 +204,14 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="depthbench", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_config(p):
+    def add_config(p, *config_only):
         p.add_argument("--config", help="JSON config; keys mirror flag names")
+        p.set_defaults(subparser=p, config_only=config_only, **dict.fromkeys(config_only))
 
     p_ca = sub.add_parser("ca", help="evolve an elementary cellular automaton")
     p_ca.add_argument("rule", type=int, help="rule number 0..255")
     p_ca.add_argument("tape", help="initial tape as a 0/1 string")
-    p_ca.add_argument("--rows", type=int, help="number of rows to evolve and print")
+    p_ca.add_argument("--rows", type=int, default=1, help="number of rows to evolve and print")
     p_ca.add_argument("--row", type=int, help="print only the tape after this many rows")
     p_ca.add_argument("--cell", type=int, help="with --row: print one cell on the centered light-cone frame")
     p_ca.add_argument("--k", type=int, help="advance k rows per compiled lookup round")
@@ -241,9 +225,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_cvp.set_defaults(func=cmd_cvp)
 
     p_s5 = sub.add_parser("s5", help="fold a word of 5-point permutations")
-    p_s5.add_argument("--fold", choices=("serial", "tree"), help="fold strategy")
-    p_s5.add_argument("--n", type=int, help="random word length")
-    p_s5.add_argument("--seed", type=int, help="random word seed")
+    p_s5.add_argument("--fold", choices=("serial", "tree"), default="serial", help="fold strategy")
+    p_s5.add_argument("--n", type=int, default=16, help="random word length")
+    p_s5.add_argument("--seed", type=int, default=0, help="random word seed")
     p_s5.add_argument("--words", help="file of 5-digit image strings, one per line")
     add_config(p_s5)
     p_s5.set_defaults(func=cmd_s5)
@@ -251,29 +235,29 @@ def build_parser() -> argparse.ArgumentParser:
     p_do1 = sub.add_parser("do1", help="depth-of-one of an alternating circuit")
     p_do1.add_argument("netlist", help="path to an alternating-circuit netlist")
     p_do1.add_argument("assignment", nargs="?", default="", help="input bits as a 0/1 string")
-    p_do1.add_argument("--extract", action="store_true", default=None, help="estimate via value probes instead")
-    p_do1.add_argument("--exact-oracle", action="store_true", default=None, help="probe the exact state values")
+    p_do1.add_argument("--extract", action="store_true", help="estimate via value probes instead")
+    p_do1.add_argument("--exact-oracle", action="store_true", help="probe the exact state values")
     p_do1.add_argument("--noise", type=float, help="probe values scaled by noise in [EPS, 1]")
-    p_do1.add_argument("--seed", type=int, help="noise seed")
+    p_do1.add_argument("--seed", type=int, default=0, help="noise seed")
     add_config(p_do1)
     p_do1.set_defaults(func=cmd_do1)
 
     p_der = sub.add_parser("derand", help="majority-vote replication and universal-seed search")
-    p_der.add_argument("--p", type=float, help="decider error bound, 0 <= p < 1/2")
-    p_der.add_argument("--bound-only", action="store_true", default=None, help="print the Hoeffding replication count")
-    p_der.add_argument("--delta", type=float, help="per-input failure target for --bound-only")
-    p_der.add_argument("--n", type=int, help="word length for the seed search")
-    p_der.add_argument("--vocab", type=int, help="token alphabet size")
-    p_der.add_argument("--delta-all", type=float, help="union-bound failure target over all inputs")
-    p_der.add_argument("--rng-seed", type=int, help="search randomness seed")
-    p_der.add_argument("--max-attempts", type=int, help="bundle draws before giving up")
+    p_der.add_argument("--p", type=float, default=0.3, help="decider error bound, 0 <= p < 1/2")
+    p_der.add_argument("--bound-only", action="store_true", help="print the Hoeffding replication count")
+    p_der.add_argument("--delta", type=float, default=0.01, help="per-input failure target for --bound-only")
+    p_der.add_argument("--n", type=int, default=8, help="word length for the seed search")
+    p_der.add_argument("--vocab", type=int, default=2, help="token alphabet size")
+    p_der.add_argument("--delta-all", type=float, default=0.5, help="union-bound failure target over all inputs")
+    p_der.add_argument("--rng-seed", type=int, default=0, help="search randomness seed")
+    p_der.add_argument("--max-attempts", type=int, default=32, help="bundle draws before giving up")
     add_config(p_der)
     p_der.set_defaults(func=cmd_derand)
 
     p_bench = sub.add_parser("bench", help="run a benchmark suite from a JSON config")
-    p_bench.add_argument("--csv", help="CSV output path, or - for stdout")
+    p_bench.add_argument("--csv", default="-", help="CSV output path, or - for stdout")
     p_bench.add_argument("--report", help="text report path, or - for stdout")
-    add_config(p_bench)
+    add_config(p_bench, "cases")
     p_bench.set_defaults(func=cmd_bench)
 
     return parser
@@ -283,11 +267,13 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.config is not None:
+            # config values become the subcommand's defaults, so explicit flags still win
+            args.subparser.set_defaults(**_config_defaults(args.subparser, args.config))
+            args = parser.parse_args(argv)
+        return args.func(args)
     except SystemExit as exc:  # argparse exits itself on usage errors and --help
         return int(exc.code or 0)
-    try:
-        cfg = _load_config(args)
-        return args.func(args, cfg)
     except (CircuitError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

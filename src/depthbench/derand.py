@@ -15,13 +15,11 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
+from .meters import CapacityError
+
 Word = tuple[int, ...]
 
 _MASK64 = (1 << 64) - 1
-
-
-class CapacityError(ValueError):
-    """The exhaustive input space exceeds the verification budget."""
 
 
 def _mix(x: int) -> int:
@@ -108,6 +106,8 @@ def union_bound_k(n: int, vocab_size: int, delta_all: float, p: float) -> int:
     Needs k >= (n ln vocab + ln(1/delta_all)) / (2 (1/2 - p)^2); a decider
     with p = 0 is never wrong, so k = 1 suffices there.
     """
+    if not 0 <= p < 0.5:
+        raise ValueError(f"error bound p={p} must satisfy 0 <= p < 1/2")
     if not 0 < delta_all < 1:
         raise ValueError(f"delta_all={delta_all} must lie in (0, 1)")
     if p == 0:

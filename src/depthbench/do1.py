@@ -21,8 +21,8 @@ import json
 import random
 from dataclasses import dataclass, replace
 from enum import Enum
-from functools import lru_cache
-from typing import Callable, Sequence
+from functools import cached_property
+from typing import Callable, Collection, NamedTuple, Sequence
 
 from .circuits import (
     TERMINALS,
@@ -65,9 +65,23 @@ def validate_alternating(c: Circuit) -> None:
         raise AlternationError(f"alternation violated on edges: {listing}", bad_edges)
 
 
+class Analysis(NamedTuple):
+    """What a configuration's evaluation says about depth-of-one."""
+
+    depths: tuple[int, ...]
+    hot: frozenset[int]
+    depth_of_one: int
+    deepest_hot: int | None  # lowest id among the hot gates at depth_of_one
+
+
 @dataclass(frozen=True)
 class CircuitConfig:
-    """An alternating circuit fixed together with its input bits."""
+    """An alternating circuit fixed together with its input bits.
+
+    ``logic_gates`` and ``analysis`` are computed on first use and kept on
+    the instance; they are not fields, so equality and hashing still see
+    only the circuit and the bits.
+    """
 
     circuit: Circuit
     bits: tuple[int, ...]
@@ -79,20 +93,23 @@ class CircuitConfig:
                 f"assignment has {len(self.bits)} bits, circuit has {self.circuit.n_inputs} inputs"
             )
 
+    @cached_property
+    def logic_gates(self) -> frozenset[int]:
+        return frozenset(logic_ids(self.circuit))
 
-@lru_cache(maxsize=512)
-def _analysis(cfg: CircuitConfig) -> tuple[tuple[int, ...], tuple[int, ...], frozenset[int], int]:
-    """(values, depths, hot logic gates, depth-of-one) for a configuration."""
-    values = eval_serial(cfg.circuit, cfg.bits)
-    depths = tuple(gate_depths(cfg.circuit))
-    hot = frozenset(i for i in logic_ids(cfg.circuit) if values[i])
-    d = max((depths[i] for i in hot), default=0)
-    return values, depths, hot, d
+    @cached_property
+    def analysis(self) -> Analysis:
+        values = eval_serial(self.circuit, self.bits)
+        depths = tuple(gate_depths(self.circuit))
+        hot = frozenset(i for i in self.logic_gates if values[i])
+        d = max((depths[i] for i in hot), default=0)
+        deepest = min((i for i in hot if depths[i] == d), default=None)
+        return Analysis(depths, hot, d, deepest)
 
 
 def depth_of_one(cfg: CircuitConfig) -> int:
     """Max gate depth among hot gates; 0 when no gate outputs 1."""
-    return _analysis(cfg)[3]
+    return cfg.analysis.depth_of_one
 
 
 def _terminal_value(gate: Gate, bits: Sequence[int]) -> int:
@@ -121,7 +138,6 @@ def is_depth_zero(cfg: CircuitConfig) -> bool:
     return True
 
 
-@lru_cache(maxsize=None)
 def make_chain(k: int) -> Circuit:
     """Alternating chain of k gates over one constant-1; gate j has depth j."""
     if k < 1:
@@ -131,11 +147,6 @@ def make_chain(k: int) -> Circuit:
         kind = GateKind.OR if j % 2 else GateKind.AND
         gates.append(Gate(j, kind, (j - 1,)))
     return Circuit(tuple(gates), 0, k)
-
-
-@lru_cache(maxsize=None)
-def _chain_config(k: int) -> CircuitConfig:
-    return CircuitConfig(make_chain(k), ())
 
 
 class Phase(Enum):
@@ -186,27 +197,24 @@ def env_reset(cfg: CircuitConfig, chain_len: int) -> EnvState:
     """Fresh episode: forced choice pending, t = 0, horizon = max(k, gate count)."""
     if chain_len < 1:
         raise ValueError("chain_len must be >= 1")
-    horizon = max(chain_len, len(logic_ids(cfg.circuit)))
+    horizon = max(chain_len, len(cfg.logic_gates))
     return EnvState(cfg, chain_len, Phase.FORCED_CHOICE, frozenset(), 0, horizon)
 
 
-@lru_cache(maxsize=512)
-def _circuit_gate_set(c: Circuit) -> frozenset[int]:
-    return frozenset(logic_ids(c))
+def _side_analysis(s: EnvState) -> tuple[Sequence[int], Collection[int], int]:
+    """(depths, hot gates, deepest hot depth) for the side the state committed to.
 
-
-def _side_analysis(s: EnvState) -> tuple[tuple[int, ...], frozenset[int]]:
-    """(depths, hot set) for the side the state committed to."""
+    Chain gate j is hot at depth j, so the chain side needs no evaluation.
+    """
     if s.phase is Phase.SELECTING_CHAIN:
-        cfg = _chain_config(s.chain_len)
-    else:
-        cfg = s.config
-    _, depths, hot, _ = _analysis(cfg)
-    return depths, hot
+        k = s.chain_len
+        return range(k + 1), range(1, k + 1), k
+    a = s.config.analysis
+    return a.depths, a.hot, a.depth_of_one
 
 
 def _terminal_reward(s: EnvState) -> int:
-    depths, hot = _side_analysis(s)
+    depths, hot, _ = _side_analysis(s)
     if any(g not in hot for g in s.chosen):
         return 0
     return max((depths[g] for g in s.chosen), default=0)
@@ -232,7 +240,7 @@ def env_step(s: EnvState, a: Action) -> tuple[EnvState, int, bool]:
         return s, 0, True
     if s.phase is Phase.FORCED_CHOICE:
         if isinstance(a, PickCircuitGate):
-            if a.gate_id not in _circuit_gate_set(s.config.circuit):
+            if a.gate_id not in s.config.logic_gates:
                 return s, 0, False
             nxt = replace(s, phase=Phase.SELECTING_CIRCUIT, chosen=frozenset({a.gate_id}), t=1)
         elif isinstance(a, PickChainGate):
@@ -244,7 +252,7 @@ def env_step(s: EnvState, a: Action) -> tuple[EnvState, int, bool]:
         return _advance(nxt)
     if isinstance(a, SelectGate):
         if s.phase is Phase.SELECTING_CIRCUIT:
-            legal = a.gate_id in _circuit_gate_set(s.config.circuit)
+            legal = a.gate_id in s.config.logic_gates
         else:
             legal = 1 <= a.gate_id <= s.chain_len
         if not legal or a.gate_id in s.chosen:
@@ -269,19 +277,10 @@ def optimal_value(s: EnvState) -> int:
         return 0
     if s.phase is Phase.FORCED_CHOICE:
         return max(s.chain_len, depth_of_one(s.config))
-    depths, hot = _side_analysis(s)
+    _, hot, deepest = _side_analysis(s)
     if any(g not in hot for g in s.chosen):
         return 0
-    best_chosen = max((depths[g] for g in s.chosen), default=0)
-    deepest_hot = max((depths[g] for g in hot), default=0)
-    return max(best_chosen, deepest_hot)
-
-
-def _deepest_hot(cfg: CircuitConfig) -> int | None:
-    _, depths, hot, d = _analysis(cfg)
-    if not hot:
-        return None
-    return min(g for g in hot if depths[g] == d)
+    return deepest
 
 
 def oracle_policy(s: EnvState) -> Action:
@@ -294,10 +293,10 @@ def oracle_policy(s: EnvState) -> Action:
         raise ValueError("episode already finished")
     if s.phase is Phase.FORCED_CHOICE:
         if depth_of_one(s.config) >= s.chain_len:
-            return PickCircuitGate(_deepest_hot(s.config))
+            return PickCircuitGate(s.config.analysis.deepest_hot)
         return PickChainGate(s.chain_len)
     if s.phase is Phase.SELECTING_CIRCUIT:
-        target = _deepest_hot(s.config)
+        target = s.config.analysis.deepest_hot
     else:
         target = s.chain_len
     if target is not None and target not in s.chosen:

@@ -1,4 +1,4 @@
-"""Work/depth accounting shared by every solver in the package."""
+"""Work/depth accounting shared by every solver, and the budget error some of them raise."""
 
 from __future__ import annotations
 
@@ -22,3 +22,7 @@ class CostMeter:
             raise ValueError(f"bad charge: work={work} depth={depth}")
         self.work += work
         self.depth += depth
+
+
+class CapacityError(ValueError):
+    """A requested table or exhaustive input space exceeds its budget."""

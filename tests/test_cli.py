@@ -212,6 +212,20 @@ class TestConfigMerge:
         code, out, _ = run(capsys, "derand", "--config", str(cfg))
         assert (code, out) == (0, "59\n")
 
+    def test_misspelt_key_is_usage_error(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"max_attempts": 1}))
+        code, out, err = run(capsys, "derand", "--config", str(cfg))
+        assert (code, out) == (2, "")
+        assert "'max_attempts'" in err and "max-attempts" in err
+
+    def test_cases_key_only_for_bench(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"cases": [], "rows": 1}))
+        code, _, err = run(capsys, "ca", "0", "111", "--config", str(cfg))
+        assert code == 2
+        assert "'cases'" in err
+
     def test_bad_json_is_usage_error(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text("{nope")

@@ -122,6 +122,17 @@ class TestUnionBoundK:
     def test_p_zero_needs_single_seed(self):
         assert union_bound_k(8, 2, 0.5, 0.0) == 1
 
+    @pytest.mark.parametrize("p", [0.5, 0.7])
+    def test_p_at_or_above_half_rejected(self, p):
+        with pytest.raises(ValueError, match="must satisfy 0 <= p < 1/2"):
+            union_bound_k(8, 2, 0.5, p)
+
+
+def test_capacity_error_is_shared_with_automata():
+    from depthbench import automata, derand, meters
+
+    assert automata.CapacityError is derand.CapacityError is meters.CapacityError
+
 
 class TestFindUniversalSeeds:
     def test_perfect_decider_first_attempt(self):

@@ -1,11 +1,14 @@
 """Depth-of-one, the forced-choice environment, and probe extraction."""
 
+import gc
+import itertools
 import math
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from depthbench.circuits import Circuit, Gate, GateKind, logic_ids
+from depthbench.circuits import Circuit, Gate, GateKind, eval_serial, gate_depths, logic_ids
 from depthbench.do1 import (
     PASS,
     AlternationError,
@@ -135,6 +138,45 @@ def two_gate_cfg(bits=(1, 1)):
         Gate(3, GateKind.AND, (2, 1)),
     )
     return cfg_from(Circuit(gates, 2, 3), bits)
+
+
+class TestAnalysisLifetime:
+    def test_config_is_freed_after_extraction(self):
+        cfg = random_alt_config(23, n_inputs=4, n_gates=40, require_hot=True)
+        extract_depth_of_one(cfg, optimal_value)
+        ref = weakref.ref(cfg)
+        del cfg
+        gc.collect()
+        assert ref() is None
+
+    def test_analysed_config_equals_fresh_copy(self):
+        cfg = random_alt_config(29, n_inputs=4, n_gates=30, require_hot=True)
+        fresh = cfg_from(cfg.circuit, cfg.bits)
+        assert depth_of_one(cfg) == reference_d1(cfg)
+        assert cfg == fresh and hash(cfg) == hash(fresh)
+        assert env_reset(cfg, 3) == env_reset(fresh, 3)
+
+
+class TestChainSide:
+    """The chain side is answered in closed form; check it against a real chain."""
+
+    @pytest.mark.parametrize("k", range(1, 17))
+    def test_values_and_rewards_match_evaluated_chain(self, k):
+        chain = make_chain(k)
+        values, depths = eval_serial(chain, ()), gate_depths(chain)
+        hot = {j for j in range(1, k + 1) if values[j]}
+        base = env_reset(two_gate_cfg(), k)
+        picks = sorted({1, max(1, k // 2), k})
+        for first, extra in itertools.product(picks, [None] + picks):
+            actions = [PickChainGate(first)] + ([SelectGate(extra)] if extra is not None else [])
+            s, done = base, False
+            while not done:
+                s, reward, done = env_step(s, actions.pop(0) if actions else PASS)
+                if not done:
+                    want = max(depths[j] for j in hot) if s.chosen <= hot else 0
+                    assert optimal_value(s) == want
+            want = max(depths[g] for g in s.chosen) if s.chosen <= hot else 0
+            assert reward == want
 
 
 class TestEnvMechanics:
