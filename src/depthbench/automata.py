@@ -3,7 +3,8 @@
 A rule's 8-entry table maps the (left, center, right) neighborhood, read as
 a 3-bit number, to the next center bit.  Compiling k rows folds k plain
 steps into one table over (2k+1)-bit windows: one lookup round then
-advances k rows at the price of a 2^(2k+1)-entry table.  Cells outside the
+advances k rows at the price of a 2^(2k+1)-entry table, built by composing
+the rule with the (k-1)-row table in O(2^(2k+1)) lookups.  Cells outside the
 tape read as 0 on every row.  A cell at least k from either end depends
 only on its width-(2k+1) light cone of real cells, so one lookup
 reproduces k plain steps exactly; the k cells nearest each end instead
@@ -14,7 +15,7 @@ position-independent window table cannot express the pinned-zero edge.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .meters import CapacityError, CostMeter
 
@@ -57,15 +58,29 @@ def step(cells: Sequence[int], rule: int, meter: CostMeter | None = None) -> tup
     return out
 
 
-def evolve(cells: Sequence[int], rule: int, steps: int, meter: CostMeter | None = None) -> tuple[int, ...]:
-    """``steps``-fold composition of ``step``; adds ``steps`` to meter depth."""
+def plain_rounds(
+    cells: Sequence[int], rule: int, steps: int, meter: CostMeter | None = None
+) -> Iterator[tuple[int, ...]]:
+    """Yield the tape after each of ``steps`` plain rows; each adds 1 to meter depth."""
     if steps < 0:
         raise ValueError("steps must be >= 0")
     meter = meter if meter is not None else CostMeter()
     cur = tuple(cells)
     for _ in range(steps):
         cur = step(cur, rule, meter)
+        yield cur
+
+
+def _last(cells: Sequence[int], rounds: Iterator[tuple[int, ...]]) -> tuple[int, ...]:
+    cur = tuple(cells)
+    for cur in rounds:
+        pass
     return cur
+
+
+def evolve(cells: Sequence[int], rule: int, steps: int, meter: CostMeter | None = None) -> tuple[int, ...]:
+    """``steps``-fold composition of ``step``; adds ``steps`` to meter depth."""
+    return _last(cells, plain_rounds(cells, rule, steps, meter))
 
 
 @dataclass(frozen=True)
@@ -78,21 +93,30 @@ class CompiledRule:
 
 
 def compile_steps(rule: int, k: int, max_entries: int = DEFAULT_TABLE_BUDGET) -> CompiledRule:
-    """Build the k-row table: entry = center cell after k plain steps of its window."""
+    """Build the k-row table: entry = center cell after k plain steps of its window.
+
+    The j-row table follows from the (j-1)-row one: the center of a
+    (2j+1)-cell window, j rows down, is the rule applied to the three cells
+    beside it one row earlier, and those are the (j-1)-row entries of the
+    window's left, middle and right (2j-1)-cell sub-windows.  Building every
+    level takes fewer than (4/3)*2^(2k+1) lookups, so the entry budget bounds
+    compile time as well as memory.
+    """
     if k < 1:
         raise ValueError("k must be >= 1")
     width = 2 * k + 1
     entries = 1 << width
     if entries > max_entries:
         raise CapacityError(f"2^{width} = {entries} table entries exceeds budget {max_entries}")
-    rule_table(rule)  # validate range
-    table = []
-    for code in range(entries):
-        window = tuple((code >> (width - 1 - j)) & 1 for j in range(width))
-        for _ in range(k):
-            window = step(window, rule)
-        table.append(window[k])
-    return CompiledRule(rule, k, tuple(table))
+    one_row = rule_table(rule)
+    table = one_row
+    for j in range(2, k + 1):
+        prev, mask = table, (1 << (2 * j - 1)) - 1
+        table = tuple(
+            one_row[(prev[w >> 2] << 2) | (prev[(w >> 1) & mask] << 1) | prev[w & mask]]
+            for w in range(1 << (2 * j + 1))
+        )
+    return CompiledRule(rule, k, table)
 
 
 def step_compiled(cells: Sequence[int], cr: CompiledRule, meter: CostMeter | None = None) -> tuple[int, ...]:
@@ -127,6 +151,37 @@ def step_compiled(cells: Sequence[int], cr: CompiledRule, meter: CostMeter | Non
     return tuple(out)
 
 
+def compiled_rounds(
+    cells: Sequence[int],
+    rule: int,
+    steps: int,
+    k: int,
+    meter: CostMeter | None = None,
+    max_entries: int = DEFAULT_TABLE_BUDGET,
+) -> Iterator[tuple[int, ...]]:
+    """Yield the tape after each of ceil(steps/k) compiled rounds.
+
+    The full rounds share one k-row table; a remainder ``steps mod k`` is one
+    extra round with a smaller table, so the meter depth is exactly
+    ceil(steps/k).  Table construction is not charged to the meter; the
+    table is a width cost reported separately by callers.
+    """
+    if steps < 0:
+        raise ValueError("steps must be >= 0")
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    meter = meter if meter is not None else CostMeter()
+    full, rem = divmod(steps, k)
+    cur = tuple(cells)
+    if full:
+        cr = compile_steps(rule, k, max_entries)
+        for _ in range(full):
+            cur = step_compiled(cur, cr, meter)
+            yield cur
+    if rem:
+        yield step_compiled(cur, compile_steps(rule, rem, max_entries), meter)
+
+
 def evolve_compiled(
     cells: Sequence[int],
     rule: int,
@@ -135,26 +190,8 @@ def evolve_compiled(
     meter: CostMeter | None = None,
     max_entries: int = DEFAULT_TABLE_BUDGET,
 ) -> tuple[int, ...]:
-    """Evolve ``steps`` rows in ceil(steps/k) compiled rounds.
-
-    A remainder ``steps mod k`` is handled by one extra round with a smaller
-    compiled table, so the meter depth is exactly ceil(steps/k).  Table
-    construction is not charged to the meter; the table is a width cost
-    reported separately by callers.
-    """
-    if steps < 0:
-        raise ValueError("steps must be >= 0")
-    meter = meter if meter is not None else CostMeter()
-    full, rem = divmod(steps, k)
-    cur = tuple(cells)
-    if full:
-        cr = compile_steps(rule, k, max_entries)
-        for _ in range(full):
-            cur = step_compiled(cur, cr, meter)
-    if rem:
-        cr_rem = compile_steps(rule, rem, max_entries)
-        cur = step_compiled(cur, cr_rem, meter)
-    return cur
+    """Evolve ``steps`` rows in ceil(steps/k) compiled rounds (see ``compiled_rounds``)."""
+    return _last(cells, compiled_rounds(cells, rule, steps, k, meter, max_entries))
 
 
 def cell_at(rule: int, initial: Sequence[int], n_rows: int, i: int) -> int:

@@ -32,7 +32,6 @@ class GateKind(Enum):
 
 
 TERMINALS = frozenset({GateKind.INPUT, GateKind.CONST0, GateKind.CONST1})
-LOGIC_KINDS = frozenset({GateKind.AND, GateKind.OR, GateKind.NOT, GateKind.MAJORITY})
 
 
 @dataclass(frozen=True)

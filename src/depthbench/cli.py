@@ -24,23 +24,49 @@ EXIT_INTERNAL = 1
 EXIT_USAGE = 2
 
 
+def _config_value(action: argparse.Action, key: str, value):
+    """``value`` as ``--key`` would read it on the command line; on/off flags take only JSON booleans."""
+    shown = json.dumps(value)
+    if action.nargs == 0:  # store_true
+        if not isinstance(value, bool):
+            raise ValueError(f"config key {key!r} must be true or false, not {shown}")
+        return value
+    if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+        raise ValueError(f"config key {key!r} must be a string or a number, not {shown}")
+    try:
+        value = (action.type or str)(str(value))
+    except ValueError:
+        raise ValueError(f"config key {key!r}: invalid {action.type.__name__} value {shown}") from None
+    if action.choices is not None and value not in action.choices:
+        raise ValueError(f"config key {key!r}: {shown} is not one of {', '.join(action.choices)}")
+    return value
+
+
 def _config_defaults(parser: argparse.ArgumentParser, path: str) -> dict:
-    """Map a JSON config's keys, spelt like the flags without ``--``, to ``parser`` dests.
+    """Map a JSON config's keys, spelt like the flags without ``--``, to typed ``parser`` defaults.
 
     A key that is neither a flag of the subcommand nor one of its
-    ``config_only`` keys (bench's ``cases``) is an error.
+    ``config_only`` keys (bench's ``cases``) is an error, and so is a value
+    the flag itself would not accept.
     """
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict):
         raise ValueError("config file must hold a JSON object")
-    dests = {opt[2:]: a.dest for opt, a in parser._option_string_actions.items() if opt.startswith("--")}
-    del dests["config"], dests["help"]
-    dests.update((key, key) for key in parser.get_default("config_only"))
-    unknown = sorted(set(doc) - set(dests))
+    actions = {opt[2:]: a for opt, a in parser._option_string_actions.items() if opt.startswith("--")}
+    del actions["config"], actions["help"]
+    config_only = parser.get_default("config_only")
+    unknown = sorted(set(doc) - set(actions) - set(config_only))
     if unknown:
-        raise ValueError(f"unknown config key {unknown[0]!r} for {parser.prog} (allowed: {', '.join(sorted(dests))})")
-    return {dests[key]: value for key, value in doc.items()}
+        allowed = ", ".join(sorted([*actions, *config_only]))
+        raise ValueError(f"unknown config key {unknown[0]!r} for {parser.prog} (allowed: {allowed})")
+    defaults = {}
+    for key, value in doc.items():
+        if key in config_only:
+            defaults[key] = value
+        else:
+            defaults[actions[key].dest] = _config_value(actions[key], key, value)
+    return defaults
 
 
 def _print_meter(meter: CostMeter, **extras) -> None:
@@ -50,43 +76,28 @@ def _print_meter(meter: CostMeter, **extras) -> None:
 
 def cmd_ca(args) -> int:
     tape = automata.parse_tape(args.tape)
-    rows, row, cell, k = int(args.rows), args.row, args.cell, args.k
-    if cell is not None:
-        if row is None:
+    if args.cell is not None:
+        if args.row is None:
             raise ValueError("--cell requires --row")
-        if k is not None:
+        if args.k is not None:
             raise ValueError("--k cannot be combined with --cell")
-        print(automata.cell_at(args.rule, tape, int(row), int(cell)))
+        print(automata.cell_at(args.rule, tape, args.row, args.cell))
         return EXIT_OK
-    meter = CostMeter()
-    if row is not None:
-        target = int(row)
-        if k is not None:
-            final = automata.evolve_compiled(tape, args.rule, target, int(k), meter)
-            _print_meter(meter, table_size=1 << (2 * int(k) + 1))
-        else:
-            final = automata.evolve(tape, args.rule, target, meter)
-            _print_meter(meter)
-        print(automata.format_tape(final))
-        return EXIT_OK
-    if rows < 1:
+    if args.row is None and args.rows < 1:
         raise ValueError("--rows must be >= 1")
-    cur = tape
-    if k is not None:
-        k = int(k)
-        # one printed line per compiled round: rows k, 2k, ..., rows
-        reached = 0
-        while reached < rows:
-            span = min(k, rows - reached)
-            cur = automata.evolve_compiled(cur, args.rule, span, span, meter)
-            reached += span
-            print(automata.format_tape(cur))
-        _print_meter(meter, table_size=1 << (2 * k + 1))
+    steps = args.rows if args.row is None else args.row
+    meter = CostMeter()
+    if args.k is None:
+        rounds = automata.plain_rounds(tape, args.rule, steps, meter)
     else:
-        for _ in range(rows):
-            cur = automata.step(cur, args.rule, meter)
-            print(automata.format_tape(cur))
-        _print_meter(meter)
+        rounds = automata.compiled_rounds(tape, args.rule, steps, args.k, meter)
+    final = tape
+    for final in rounds:  # --rows prints every round, --row only the last
+        if args.row is None:
+            print(automata.format_tape(final))
+    if args.row is not None:
+        print(automata.format_tape(final))
+    _print_meter(meter, **({} if args.k is None else {"table_size": 1 << (2 * args.k + 1)}))
     return EXIT_OK
 
 
@@ -103,14 +114,12 @@ def cmd_s5(args) -> int:
         with open(args.words, "r", encoding="utf-8") as fh:
             word = s5.parse_words(fh.read())
     else:
-        word = s5.random_word(int(args.seed), int(args.n))
+        word = s5.random_word(args.seed, args.n)
     meter = CostMeter()
     if args.fold == "serial":
         product = s5.fold_serial(word, meter)
-    elif args.fold == "tree":
-        product = s5.fold_tree(word, meter)
     else:
-        raise ValueError(f"unknown fold {args.fold!r} (expected serial or tree)")
+        product = s5.fold_tree(word, meter)
     print(s5.format_perm(product))
     _print_meter(meter)
     return EXIT_OK
@@ -126,8 +135,8 @@ def cmd_do1(args) -> int:
         print(d1)
         return EXIT_OK
     if args.noise is not None:
-        eps = float(args.noise)
-        oracle = do1.NoisyOracle(do1.optimal_value, eps, int(args.seed))
+        eps = args.noise
+        oracle = do1.NoisyOracle(do1.optimal_value, eps, args.seed)
     elif args.exact_oracle:
         eps = 1.0
         oracle = do1.optimal_value
@@ -151,14 +160,11 @@ def cmd_do1(args) -> int:
 
 
 def cmd_derand(args) -> int:
-    p = float(args.p)
     if args.bound_only:
-        print(derand.hoeffding_k(p, float(args.delta)))
+        print(derand.hoeffding_k(args.p, args.delta))
         return EXIT_OK
-    decider = derand.SimulatedDecider(derand.word_parity, p)
-    result = derand.find_universal_seeds(
-        decider, int(args.n), int(args.vocab), float(args.delta_all), int(args.rng_seed), int(args.max_attempts)
-    )
+    decider = derand.SimulatedDecider(derand.word_parity, args.p)
+    result = derand.find_universal_seeds(decider, args.n, args.vocab, args.delta_all, args.rng_seed, args.max_attempts)
     print(
         json.dumps(
             {

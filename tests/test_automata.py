@@ -1,8 +1,11 @@
 """Cellular automaton stepping, k-row compilation, and the cell decision view."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from depthbench import automata
 from depthbench.automata import (
     CapacityError,
     cell_at,
@@ -65,12 +68,24 @@ def test_compile_table_sizes():
     assert len(compile_steps(30, 3).table) == 128
 
 
+def _window(code: int, k: int) -> tuple[int, ...]:
+    return tuple((code >> (2 * k - j)) & 1 for j in range(2 * k + 1))
+
+
 def test_compiled_entries_match_plain_steps():
-    k = 3
-    cr = compile_steps(110, k)
-    for code in range(len(cr.table)):
-        window = tuple((code >> (2 * k - j)) & 1 for j in range(2 * k + 1))
-        assert cr.table[code] == naive_evolve(window, 110, k)[k]
+    for k in (1, 2, 3, 4):
+        for rule in range(256):
+            cr = compile_steps(rule, k)
+            for code in range(len(cr.table)):
+                assert cr.table[code] == naive_evolve(_window(code, k), rule, k)[k], (rule, k, code)
+
+
+def test_compiled_entries_spot_check_k8():
+    rng = random.Random(8)
+    for rule in (30, 110):
+        cr = compile_steps(rule, 8)
+        for code in rng.sample(range(len(cr.table)), 200):
+            assert cr.table[code] == naive_evolve(_window(code, 8), rule, 8)[8], (rule, code)
 
 
 def test_capacity_budget():
@@ -78,6 +93,12 @@ def test_capacity_budget():
         compile_steps(110, 3, max_entries=64)
     with pytest.raises(ValueError):
         compile_steps(110, 0)
+
+
+@pytest.mark.parametrize("k", [0, -1])
+def test_k_below_one_rejected(k):
+    with pytest.raises(ValueError, match="k must be >= 1"):
+        evolve_compiled(parse_tape("0110"), 110, 5, k)
 
 
 def test_step_compiled_equals_k_plain_steps():
@@ -111,6 +132,20 @@ def test_evolve_compiled_depth_is_ceil():
     assert m.depth == 22
     assert m.work == 22 * 64
     assert out == naive_evolve(tape, 110, 64)
+
+
+def test_compiled_rounds_build_each_table_once(monkeypatch):
+    built = []
+
+    def counting(rule, k, max_entries):
+        built.append(k)
+        return compile_steps(rule, k, max_entries)
+
+    monkeypatch.setattr(automata, "compile_steps", counting)
+    tape = parse_tape("0100110001011")
+    rounds = list(automata.compiled_rounds(tape, 110, 11, 3))
+    assert rounds == [naive_evolve(tape, 110, r) for r in (3, 6, 9, 11)]
+    assert built == [3, 2]
 
 
 def test_evolve_compiled_zero_steps():

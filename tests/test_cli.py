@@ -1,11 +1,14 @@
 """End-to-end CLI behavior: output, stderr meters, exit codes, config merge."""
 
+import itertools
 import json
 
 import pytest
 
 from depthbench import automata, s5
 from depthbench.cli import main
+
+from oracles import naive_evolve
 
 CHAIN5 = "const 0 1\nor 1 0\nand 2 1\nor 3 2\nand 4 3\nor 5 4\noutput 5\n"
 
@@ -34,11 +37,28 @@ class TestCa:
         assert out.strip() == str(automata.cell_at(110, (1,), 3, 4))
 
     def test_compiled_rows_match_plain(self, capsys):
-        code_p, out_p, _ = run(capsys, "ca", "110", "010011", "--row", "6")
-        code_c, out_c, err_c = run(capsys, "ca", "110", "010011", "--row", "6", "--k", "2")
-        assert code_p == code_c == 0
-        assert out_p == out_c
-        assert "depth=3" in err_c and "table_size=32" in err_c
+        tape = "010011000101"
+        tapes = [naive_evolve(automata.parse_tape(tape), 110, r) for r in range(14)]
+        for flag, k, n in itertools.product(["--rows", "--row"], [None, 1, 2, 3, 4], range(14)):
+            if flag == "--rows" and n == 0:
+                continue
+            argv = ["ca", "110", tape, flag, str(n)] + ([] if k is None else ["--k", str(k)])
+            code, out, err = run(capsys, *argv)
+            if k is None:
+                reached = list(range(1, n + 1))  # the row after each round
+            else:
+                reached = [*range(k, n, k), n] if n else []
+            shown = reached if flag == "--rows" else [n]
+            assert code == 0, argv
+            assert out == "".join(automata.format_tape(tapes[r]) + "\n" for r in shown), argv
+            meter = f"meter: work={len(tape) * len(reached)} depth={len(reached)}"
+            assert err == (meter if k is None else f"{meter} table_size={1 << (2 * k + 1)}") + "\n", argv
+
+    @pytest.mark.parametrize("flag", ["--rows", "--row"])
+    def test_k_below_one_is_usage_error(self, capsys, flag):
+        code, out, err = run(capsys, "ca", "110", "0110", flag, "3", "--k", "0")
+        assert (code, out) == (2, "")
+        assert "k must be >= 1" in err
 
     def test_malformed_tape_is_usage_error(self, capsys):
         code, _, err = run(capsys, "ca", "110", "01x0")
@@ -225,6 +245,23 @@ class TestConfigMerge:
         code, _, err = run(capsys, "ca", "0", "111", "--config", str(cfg))
         assert code == 2
         assert "'cases'" in err
+
+    @pytest.mark.parametrize(
+        "argv, doc",
+        [
+            (["s5"], {"seed": None}),
+            (["ca", "110", "0110"], {"rows": 2.7}),
+            (["ca", "110", "0110"], {"k": True}),
+            (["s5"], {"fold": "bogus"}),
+            (["derand"], {"bound-only": 1}),
+        ],
+    )
+    def test_value_typed_like_its_flag(self, capsys, tmp_path, argv, doc):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        code, out, err = run(capsys, *argv, "--config", str(cfg))
+        assert (code, out) == (2, "")
+        assert f"config key {next(iter(doc))!r}" in err
 
     def test_bad_json_is_usage_error(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
