@@ -64,6 +64,8 @@ def plain_rounds(
     """Yield the tape after each of ``steps`` plain rows; each adds 1 to meter depth."""
     if steps < 0:
         raise ValueError("steps must be >= 0")
+    _check_tape(cells)
+    rule_table(rule)
     meter = meter if meter is not None else CostMeter()
     cur = tuple(cells)
     for _ in range(steps):
@@ -170,6 +172,8 @@ def compiled_rounds(
         raise ValueError("steps must be >= 0")
     if k < 1:
         raise ValueError("k must be >= 1")
+    _check_tape(cells)
+    rule_table(rule)
     meter = meter if meter is not None else CostMeter()
     full, rem = divmod(steps, k)
     cur = tuple(cells)
@@ -207,6 +211,7 @@ def cell_at(rule: int, initial: Sequence[int], n_rows: int, i: int) -> int:
     if n_rows == 0:
         if not 0 <= i < len(initial):
             raise ValueError(f"cell index {i} outside width-{len(initial)} frame")
+        rule_table(rule)
         return initial[i]
     frame = max(len(initial), 2 * n_rows - 1)
     if not 0 <= i < frame:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Sequence
 
 from .meters import CostMeter
@@ -43,11 +44,21 @@ class Gate:
 
 @dataclass(frozen=True)
 class Circuit:
-    """A gate list (dense ids, inputs first), input count, and one output id."""
+    """A gate list (dense ids, inputs first), input count, and one output id.
+
+    ``depths`` is computed on first use and kept on the instance; it is not
+    a field, so equality and hashing still see only the gates, the input
+    count and the output.
+    """
 
     gates: tuple[Gate, ...]
     n_inputs: int
     output: int
+
+    @cached_property
+    def depths(self) -> tuple[int, ...]:
+        """``gate_depths`` of this circuit; raises CircuitError on every access if cyclic."""
+        return tuple(gate_depths(self))
 
 
 def logic_ids(c: Circuit) -> tuple[int, ...]:
@@ -95,7 +106,7 @@ def validate(c: Circuit) -> None:
         for iid in g.inputs:
             if not 0 <= iid < n:
                 raise CircuitError(f"gate {g.id} references missing gate {iid}")
-    gate_depths(c)  # raises on cycles
+    c.depths  # raises on cycles
 
 
 def gate_depths(c: Circuit) -> list[int]:
@@ -141,7 +152,7 @@ def topo_layers(c: Circuit) -> list[list[int]]:
     Terminals appear in no layer.  The number of layers equals the circuit
     depth, so a circuit of only INPUT/CONST gates has zero layers.
     """
-    depths = gate_depths(c)
+    depths = c.depths
     layers: list[list[int]] = [[] for _ in range(max(depths, default=0))]
     for g in c.gates:
         if g.kind not in TERMINALS:
@@ -149,11 +160,16 @@ def topo_layers(c: Circuit) -> list[list[int]]:
     return layers
 
 
-def _seed_values(c: Circuit, bits: Sequence[int]) -> list[int | None]:
-    if len(bits) != c.n_inputs:
-        raise CircuitError(f"assignment has {len(bits)} bits, circuit has {c.n_inputs} inputs")
+def check_assignment(bits: Sequence[int], n_inputs: int) -> None:
+    """Raise CircuitError unless ``bits`` holds exactly ``n_inputs`` values, each 0 or 1."""
+    if len(bits) != n_inputs:
+        raise CircuitError(f"assignment has {len(bits)} bits, circuit has {n_inputs} inputs")
     if any(b not in (0, 1) for b in bits):
         raise CircuitError("assignment bits must be 0 or 1")
+
+
+def _seed_values(c: Circuit, bits: Sequence[int]) -> list[int | None]:
+    check_assignment(bits, c.n_inputs)
     vals: list[int | None] = [None] * len(c.gates)
     for g in c.gates:
         if g.kind is GateKind.INPUT:
@@ -166,18 +182,19 @@ def _seed_values(c: Circuit, bits: Sequence[int]) -> list[int | None]:
 
 
 def eval_serial(c: Circuit, bits: Sequence[int], meter: CostMeter | None = None) -> tuple[int, ...]:
-    """Evaluate one gate after another in topological order.
+    """Evaluate one gate after another in topological order (by depth, then id).
 
     Charges work = depth = number of logic gates: pure sequential cost.
     Returns the full value vector, one bit per gate id.
     """
     meter = meter if meter is not None else CostMeter()
-    depths = gate_depths(c)
+    layers = topo_layers(c)
     vals = _seed_values(c, bits)
-    for gid in sorted(logic_ids(c), key=lambda i: (depths[i], i)):
-        g = c.gates[gid]
-        vals[gid] = gate_value(g.kind, [vals[i] for i in g.inputs])
-        meter.charge(1, 1)
+    for layer in layers:
+        for gid in layer:
+            g = c.gates[gid]
+            vals[gid] = gate_value(g.kind, [vals[i] for i in g.inputs])
+            meter.charge(1, 1)
     return tuple(vals)  # type: ignore[arg-type]
 
 

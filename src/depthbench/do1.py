@@ -30,8 +30,8 @@ from .circuits import (
     CircuitError,
     Gate,
     GateKind,
+    check_assignment,
     eval_serial,
-    gate_depths,
     gate_value,
     logic_ids,
     validate,
@@ -68,7 +68,6 @@ def validate_alternating(c: Circuit) -> None:
 class Analysis(NamedTuple):
     """What a configuration's evaluation says about depth-of-one."""
 
-    depths: tuple[int, ...]
     hot: frozenset[int]
     depth_of_one: int
     deepest_hot: int | None  # lowest id among the hot gates at depth_of_one
@@ -88,10 +87,7 @@ class CircuitConfig:
 
     def __post_init__(self):
         validate_alternating(self.circuit)
-        if len(self.bits) != self.circuit.n_inputs:
-            raise CircuitError(
-                f"assignment has {len(self.bits)} bits, circuit has {self.circuit.n_inputs} inputs"
-            )
+        check_assignment(self.bits, self.circuit.n_inputs)
 
     @cached_property
     def logic_gates(self) -> frozenset[int]:
@@ -100,11 +96,11 @@ class CircuitConfig:
     @cached_property
     def analysis(self) -> Analysis:
         values = eval_serial(self.circuit, self.bits)
-        depths = tuple(gate_depths(self.circuit))
+        depths = self.circuit.depths
         hot = frozenset(i for i in self.logic_gates if values[i])
         d = max((depths[i] for i in hot), default=0)
         deepest = min((i for i in hot if depths[i] == d), default=None)
-        return Analysis(depths, hot, d, deepest)
+        return Analysis(hot, d, deepest)
 
 
 def depth_of_one(cfg: CircuitConfig) -> int:
@@ -210,7 +206,7 @@ def _side_analysis(s: EnvState) -> tuple[Sequence[int], Collection[int], int]:
         k = s.chain_len
         return range(k + 1), range(1, k + 1), k
     a = s.config.analysis
-    return a.depths, a.hot, a.depth_of_one
+    return s.config.circuit.depths, a.hot, a.depth_of_one
 
 
 def _terminal_reward(s: EnvState) -> int:

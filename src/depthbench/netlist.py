@@ -13,7 +13,7 @@ re-formatting reproduces the exact same bytes.
 
 from __future__ import annotations
 
-from .circuits import Circuit, CircuitError, Gate, GateKind, validate
+from .circuits import Circuit, CircuitError, Gate, GateKind, check_assignment, validate
 
 _KIND_TOKENS = {
     "and": GateKind.AND,
@@ -111,6 +111,6 @@ def parse_assignment(s: str, n_inputs: int) -> tuple[int, ...]:
     """Parse a 0/1 string into input bits; length must match ``n_inputs``."""
     if any(ch not in "01" for ch in s):
         raise CircuitError(f"assignment {s!r} must contain only 0 and 1")
-    if len(s) != n_inputs:
-        raise CircuitError(f"assignment has {len(s)} bits, circuit has {n_inputs} inputs")
-    return tuple(int(ch) for ch in s)
+    bits = tuple(int(ch) for ch in s)
+    check_assignment(bits, n_inputs)
+    return bits

@@ -155,6 +155,19 @@ def test_evolve_compiled_zero_steps():
     assert (m.work, m.depth) == (0, 0)
 
 
+def test_zero_rows_still_check_rule_and_tape():
+    with pytest.raises(ValueError, match="rule 300 outside 0..255"):
+        evolve((1, 0), 300, 0)
+    with pytest.raises(ValueError, match="rule 300 outside 0..255"):
+        evolve_compiled((1, 0), 300, 0, 2)
+    with pytest.raises(ValueError, match="rule 300 outside 0..255"):
+        cell_at(300, (1, 0), 0, 0)
+    with pytest.raises(ValueError, match="tape must be non-empty"):
+        evolve((), 110, 0)
+    with pytest.raises(ValueError, match="tape must be non-empty"):
+        evolve_compiled((), 110, 0, 2)
+
+
 class TestCellAt:
     def test_row_zero_reads_initial(self):
         assert cell_at(110, parse_tape("0110"), 0, 1) == 1

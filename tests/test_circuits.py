@@ -22,7 +22,7 @@ from depthbench.circuits import (
 )
 from depthbench.meters import CostMeter
 
-from oracles import brute_longest_path, random_monotone_circuit, recursive_eval
+from oracles import brute_longest_path, memo_depths, random_monotone_circuit, recursive_eval
 
 
 def chain3():
@@ -109,6 +109,7 @@ class TestLayering:
         depths = gate_depths(c)
         for g in c.gates:
             assert depths[g.id] == brute_longest_path(c, g.id)
+        assert c.depths == tuple(memo_depths(c))
 
     def test_cycle_reported_with_edge(self):
         gates = (
@@ -119,6 +120,15 @@ class TestLayering:
         c = Circuit(gates, 1, 2)
         with pytest.raises(CircuitError, match="cycle detected via edge"):
             topo_layers(c)
+        for _ in range(2):  # a failed computation is not cached
+            with pytest.raises(CircuitError, match="cycle detected via edge"):
+                c.depths
+
+    def test_depths_are_not_a_field(self):
+        c, twin = random_circuit(5, 3, 20), random_circuit(5, 3, 20)
+        text = repr(c)
+        assert c.depths is c.depths
+        assert c == twin and hash(c) == hash(twin) and repr(c) == text == repr(twin)
 
 
 class TestValidate:

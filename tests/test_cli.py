@@ -69,6 +69,10 @@ class TestCa:
         code, _, err = run(capsys, "ca", "300", "010")
         assert code == 2
         assert "0..255" in err
+        for extra in (["--row", "0"], ["--row", "0", "--k", "2"], ["--row", "0", "--cell", "1"]):
+            code, out, err = run(capsys, "ca", "300", "0110", *extra)
+            assert (code, out) == (2, ""), extra
+            assert "rule 300 outside 0..255" in err, extra
 
 
 class TestCvp:

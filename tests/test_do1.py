@@ -8,7 +8,18 @@ import weakref
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from depthbench.circuits import Circuit, Gate, GateKind, eval_serial, gate_depths, logic_ids
+from depthbench import circuits
+from depthbench.circuits import (
+    Circuit,
+    CircuitError,
+    Gate,
+    GateKind,
+    eval_layered,
+    eval_serial,
+    gate_depths,
+    logic_ids,
+    topo_layers,
+)
 from depthbench.do1 import (
     PASS,
     AlternationError,
@@ -72,6 +83,13 @@ class TestAlternation:
         gates = (Gate(0, GateKind.INPUT), Gate(1, GateKind.AND, (0,)), Gate(2, GateKind.AND, (1,)))
         with pytest.raises(AlternationError):
             cfg_from(Circuit(gates, 1, 2), (1,))
+
+    def test_config_rejects_non_binary_bits(self):
+        gates = (Gate(0, GateKind.INPUT), Gate(1, GateKind.INPUT), Gate(2, GateKind.AND, (0, 1)))
+        with pytest.raises(CircuitError, match="^assignment bits must be 0 or 1$"):
+            CircuitConfig(Circuit(gates, 2, 2), (2, 1))
+        with pytest.raises(CircuitError, match="^assignment has 1 bits, circuit has 2 inputs$"):
+            CircuitConfig(Circuit(gates, 2, 2), (2,))
 
     def test_random_alt_circuits_always_alternate(self):
         for seed in range(300):
@@ -148,6 +166,22 @@ class TestAnalysisLifetime:
         del cfg
         gc.collect()
         assert ref() is None
+
+    def test_depths_computed_once_per_circuit(self, monkeypatch):
+        calls = []
+
+        def counting(c):
+            calls.append(c)
+            return gate_depths(c)
+
+        monkeypatch.setattr(circuits, "gate_depths", counting)
+        c = random_alt_circuit(31, 5, 60)
+        bits = (1,) * c.n_inputs  # all inputs hot: every gate is hot, so extraction analyses
+        cfg = CircuitConfig(c, bits)
+        assert extract_depth_of_one(cfg, optimal_value) >= 1
+        assert eval_layered(c, bits) == eval_serial(c, bits)
+        assert len(topo_layers(c)) == depth_of_one(cfg)
+        assert len(calls) == 1 and calls[0] is c
 
     def test_analysed_config_equals_fresh_copy(self):
         cfg = random_alt_config(29, n_inputs=4, n_gates=30, require_hot=True)
