@@ -94,6 +94,13 @@ class CompiledRule:
     table: tuple[int, ...]  # index reads the window left-to-right, MSB first
 
 
+def _check_table_budget(k: int, max_entries: int) -> None:
+    width = 2 * k + 1
+    entries = 1 << width
+    if entries > max_entries:
+        raise CapacityError(f"2^{width} = {entries} table entries exceeds budget {max_entries}")
+
+
 def compile_steps(rule: int, k: int, max_entries: int = DEFAULT_TABLE_BUDGET) -> CompiledRule:
     """Build the k-row table: entry = center cell after k plain steps of its window.
 
@@ -106,10 +113,7 @@ def compile_steps(rule: int, k: int, max_entries: int = DEFAULT_TABLE_BUDGET) ->
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    width = 2 * k + 1
-    entries = 1 << width
-    if entries > max_entries:
-        raise CapacityError(f"2^{width} = {entries} table entries exceeds budget {max_entries}")
+    _check_table_budget(k, max_entries)
     one_row = rule_table(rule)
     table = one_row
     for j in range(2, k + 1):
@@ -165,8 +169,10 @@ def compiled_rounds(
 
     The full rounds share one k-row table; a remainder ``steps mod k`` is one
     extra round with a smaller table, so the meter depth is exactly
-    ceil(steps/k).  Table construction is not charged to the meter; the
-    table is a width cost reported separately by callers.
+    ceil(steps/k).  The tape, the rule and the k-row table budget are
+    checked before the first round, even when no full round runs.  Table
+    construction is not charged to the meter; the table is a width cost
+    reported separately by callers.
     """
     if steps < 0:
         raise ValueError("steps must be >= 0")
@@ -174,6 +180,7 @@ def compiled_rounds(
         raise ValueError("k must be >= 1")
     _check_tape(cells)
     rule_table(rule)
+    _check_table_budget(k, max_entries)
     meter = meter if meter is not None else CostMeter()
     full, rem = divmod(steps, k)
     cur = tuple(cells)

@@ -158,9 +158,11 @@ def find_universal_seeds(
 
     The bundle size comes from the union bound at ``delta_all``; each
     attempt is verified exhaustively, recording its error count.  The
-    input space vocab^n must fit the ``max_inputs`` budget.  Failure after
-    ``max_attempts`` returns a result with ``bundle=None`` and the full
-    per-attempt error history.
+    budget ``max_inputs`` bounds running time: both the input space vocab^n
+    and one attempt's decider calls, k * vocab^n, must fit it, and a
+    ``CapacityError`` is raised before any seed is drawn otherwise (k grows
+    without bound as p nears 1/2).  Failure after ``max_attempts`` returns a
+    result with ``bundle=None`` and the full per-attempt error history.
     """
     if n < 1 or vocab_size < 1:
         raise ValueError("n and vocab_size must be >= 1")
@@ -170,6 +172,10 @@ def find_universal_seeds(
     if n_words > max_inputs:
         raise CapacityError(f"{vocab_size}^{n} = {n_words} inputs exceeds budget {max_inputs}")
     k = union_bound_k(n, vocab_size, delta_all, decider.p)
+    if k * n_words > max_inputs:
+        raise CapacityError(
+            f"{k} seeds x {n_words} inputs = {k * n_words} decider calls per attempt exceeds budget {max_inputs}"
+        )
     rng = random.Random(rng_seed)
     errors: list[int] = []
     for attempt in range(1, max_attempts + 1):

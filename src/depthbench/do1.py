@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from typing import Callable, Collection, NamedTuple, Sequence
@@ -177,9 +177,13 @@ PASS = Pass()
 Action = PickCircuitGate | PickChainGate | SelectGate | Pass
 
 
-@dataclass(frozen=True)
-class EnvState:
-    """Immutable environment state; ``env_step`` returns successors."""
+class EnvState(NamedTuple):
+    """Immutable environment state; ``env_step`` returns successors.
+
+    A named tuple, so states hash and compare by value (equal to a plain
+    tuple of the same fields) and are cheap to build: every probe of an
+    extraction builds one.
+    """
 
     config: CircuitConfig
     chain_len: int
@@ -220,7 +224,7 @@ def _advance(s: EnvState) -> tuple[EnvState, int, bool]:
     if s.t < s.horizon:
         return s, 0, False
     reward = _terminal_reward(s)
-    return replace(s, phase=Phase.DONE), reward, True
+    return EnvState(s.config, s.chain_len, Phase.DONE, s.chosen, s.t, s.horizon), reward, True
 
 
 def env_step(s: EnvState, a: Action) -> tuple[EnvState, int, bool]:
@@ -238,11 +242,11 @@ def env_step(s: EnvState, a: Action) -> tuple[EnvState, int, bool]:
         if isinstance(a, PickCircuitGate):
             if a.gate_id not in s.config.logic_gates:
                 return s, 0, False
-            nxt = replace(s, phase=Phase.SELECTING_CIRCUIT, chosen=frozenset({a.gate_id}), t=1)
+            nxt = EnvState(s.config, s.chain_len, Phase.SELECTING_CIRCUIT, frozenset({a.gate_id}), 1, s.horizon)
         elif isinstance(a, PickChainGate):
             if not 1 <= a.gate_id <= s.chain_len:
                 return s, 0, False
-            nxt = replace(s, phase=Phase.SELECTING_CHAIN, chosen=frozenset({a.gate_id}), t=1)
+            nxt = EnvState(s.config, s.chain_len, Phase.SELECTING_CHAIN, frozenset({a.gate_id}), 1, s.horizon)
         else:
             return s, 0, False
         return _advance(nxt)
@@ -253,9 +257,9 @@ def env_step(s: EnvState, a: Action) -> tuple[EnvState, int, bool]:
             legal = 1 <= a.gate_id <= s.chain_len
         if not legal or a.gate_id in s.chosen:
             return s, 0, False
-        nxt = replace(s, chosen=s.chosen | {a.gate_id}, t=s.t + 1)
+        nxt = EnvState(s.config, s.chain_len, s.phase, s.chosen | {a.gate_id}, s.t + 1, s.horizon)
     elif isinstance(a, Pass):
-        nxt = replace(s, t=s.t + 1)
+        nxt = EnvState(s.config, s.chain_len, s.phase, s.chosen, s.t + 1, s.horizon)
     else:
         return s, 0, False
     return _advance(nxt)
@@ -274,8 +278,9 @@ def optimal_value(s: EnvState) -> int:
     if s.phase is Phase.FORCED_CHOICE:
         return max(s.chain_len, depth_of_one(s.config))
     _, hot, deepest = _side_analysis(s)
-    if any(g not in hot for g in s.chosen):
-        return 0
+    for g in s.chosen:  # a plain loop: every probe lands here, and a generator costs more than the scan
+        if g not in hot:
+            return 0
     return deepest
 
 
@@ -401,10 +406,11 @@ def replay_jsonl(text: str) -> EpisodeResult:
     total = 0
     for lineno, line in enumerate(lines[1:], 2):
         rec = json.loads(line)
-        nxt, reward, done = env_step(state, action_from_dict(rec["action"]))
+        action = action_from_dict(rec["action"])
+        nxt, reward, done = env_step(state, action)
         if state_obs(nxt) != rec["obs"] or reward != rec["reward"] or done != rec["done"]:
             raise ValueError(f"replay diverged from the log at line {lineno}")
-        steps.append(StepRecord(action_from_dict(rec["action"]), nxt, reward, done))
+        steps.append(StepRecord(action, nxt, reward, done))
         total += reward
         state = nxt
     return EpisodeResult(total, steps)
@@ -420,7 +426,9 @@ def extract_depth_of_one(cfg: CircuitConfig, value_fn: Callable[[EnvState], floa
     committing to the chain.  With the largest chain length the circuit
     still matches being 2^(k*), the estimate is 2^(k*) — promoted to the
     full gate count when k* = m, and falling back to 1 when the circuit
-    never matches.  Total probes: (gate count + 1) * (m + 1).
+    never matches.  Total probes: (gate count + 1) * (m + 1), each one
+    ``env_step`` from the length's reset state and one ``value_fn`` call,
+    the chain probe first and then the gates in ascending id.
 
     With the exact ``optimal_value`` oracle the true depth-of-one d
     satisfies estimate <= d < 2 * estimate; if probes are scaled by noise
@@ -432,16 +440,13 @@ def extract_depth_of_one(cfg: CircuitConfig, value_fn: Callable[[EnvState], floa
     ids = logic_ids(cfg.circuit)
     n = len(ids)
     m = (n - 1).bit_length() if n > 1 else 0
+    chain_pick = PickChainGate(1)
+    circuit_picks = [PickCircuitGate(gid) for gid in ids]
     k_star: int | None = None
     for ell in range(m + 1):
         base = env_reset(cfg, 2**ell)
-        chain_state, _, _ = env_step(base, PickChainGate(1))
-        v_chain = value_fn(chain_state)
-        best = None
-        for gid in ids:
-            probe_state, _, _ = env_step(base, PickCircuitGate(gid))
-            v = value_fn(probe_state)
-            best = v if best is None else max(best, v)
+        v_chain = value_fn(env_step(base, chain_pick)[0])
+        best = max(value_fn(env_step(base, pick)[0]) for pick in circuit_picks)
         if best >= v_chain:
             k_star = ell
     if k_star is None:

@@ -1,6 +1,7 @@
 """Cellular automaton stepping, k-row compilation, and the cell decision view."""
 
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -166,6 +167,17 @@ def test_zero_rows_still_check_rule_and_tape():
         evolve((), 110, 0)
     with pytest.raises(ValueError, match="tape must be non-empty"):
         evolve_compiled((), 110, 0, 2)
+
+
+def test_table_budget_checked_before_any_round():
+    """The k-row budget holds even when fewer than k rows (or none) are asked for."""
+    message = "2^81 = 2417851639229258349412352 table entries exceeds budget 33554432"
+    for steps in (0, 3, 50):
+        with pytest.raises(CapacityError, match=f"^{re.escape(message)}$"):
+            evolve_compiled((1, 0), 110, steps, 40)
+    with pytest.raises(CapacityError, match="exceeds budget 64"):
+        next(automata.compiled_rounds((1, 0, 1), 110, 2, 3, max_entries=64))
+    assert evolve_compiled((1, 0, 1), 110, 2, 3, max_entries=128) == naive_evolve((1, 0, 1), 110, 2)
 
 
 class TestCellAt:

@@ -74,6 +74,12 @@ class TestCa:
             assert (code, out) == (2, ""), extra
             assert "rule 300 outside 0..255" in err, extra
 
+    def test_table_budget_checked_before_any_round(self, capsys):
+        for extra in (["--row", "0"], ["--rows", "3"], ["--rows", "50"]):
+            code, out, err = run(capsys, "ca", "110", "0110", *extra, "--k", "40")
+            assert (code, out) == (2, ""), extra
+            assert "2^81 = 2417851639229258349412352 table entries exceeds budget 33554432" in err, extra
+
 
 class TestCvp:
     def test_inverter(self, capsys, tmp_path):
@@ -179,6 +185,11 @@ class TestDerand:
     def test_invalid_p(self, capsys):
         code, _, err = run(capsys, "derand", "--bound-only", "--p", "0.7")
         assert code == 2
+
+    def test_search_past_call_budget_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "derand", "--p", "0.4999999", "--n", "2")
+        assert (code, out) == (2, "")
+        assert "decider calls per attempt exceeds budget 1048576" in err
 
 
 class TestBench:

@@ -165,6 +165,21 @@ class TestFindUniversalSeeds:
         with pytest.raises(CapacityError):
             find_universal_seeds(d, n=30, vocab_size=2, delta_all=0.5, rng_seed=0)
 
+    def test_call_budget_enforced_before_any_seed(self):
+        # as p nears 1/2 the bundle grows without bound; the search must refuse it, not draw it
+        d = SimulatedDecider(word_parity, 0.4999999)
+        k = union_bound_k(2, 2, 0.5, 0.4999999)
+        assert k == 103_972_077_078_013
+        message = f"^{k} seeds x 4 inputs = {4 * k} decider calls per attempt exceeds budget 1048576$"
+        with pytest.raises(CapacityError, match=message):
+            find_universal_seeds(d, n=2, vocab_size=2, delta_all=0.5, rng_seed=0)
+
+    def test_call_budget_counts_k_times_inputs(self):
+        d = SimulatedDecider(word_parity, 0.3)  # n = 4: k = 45, so 45 * 16 = 720 calls per attempt
+        with pytest.raises(CapacityError, match="= 720 decider calls per attempt exceeds budget 719$"):
+            find_universal_seeds(d, 4, 2, 0.5, rng_seed=0, max_inputs=719)
+        assert find_universal_seeds(d, 4, 2, 0.5, rng_seed=0, max_inputs=720).k == 45
+
     def test_failure_reports_every_attempt(self):
         class LyingDecider:
             """Claims p=0.1 but is always wrong: no bundle can ever work."""

@@ -1,6 +1,7 @@
 """Depth-of-one, the forced-choice environment, and probe extraction."""
 
 import gc
+import hashlib
 import itertools
 import math
 import weakref
@@ -8,7 +9,7 @@ import weakref
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from depthbench import circuits
+from depthbench import circuits, do1
 from depthbench.circuits import (
     Circuit,
     CircuitError,
@@ -31,6 +32,7 @@ from depthbench.do1 import (
     PickChainGate,
     PickCircuitGate,
     SelectGate,
+    action_from_dict,
     depth_of_one,
     env_reset,
     env_step,
@@ -404,6 +406,86 @@ class TestExtraction:
         assert extract_depth_of_one(cfg, optimal_value) == 1
 
 
+# sha256 of ``extraction_digest``'s "seed estimate probes" lines: any change
+# to an estimate, a probe count or the order in which probes consume the
+# noisy oracles' draws changes it.
+EXTRACTION_DIGEST = "bfa24dbd2c954acd5079959a276471fa55f3269ad5a4c2ce3781c75bfa639190"
+
+
+def extraction_digest():
+    h = hashlib.sha256()
+    for seed in range(240):
+        cfg = random_alt_config(seed, n_inputs=1 + seed % 5, n_gates=1 + seed % 40, require_hot=True)
+        for oracle in (optimal_value, NoisyOracle(optimal_value, 0.5, seed), NoisyOracle(optimal_value, 0.8, seed)):
+            counting = CountingOracle(oracle)
+            estimate = extract_depth_of_one(cfg, counting)
+            h.update(f"{seed} {estimate} {counting.calls}\n".encode())
+    return h.hexdigest()
+
+
+class TestExtractionPinned:
+    def test_estimates_and_probe_counts_are_pinned(self):
+        assert extraction_digest() == EXTRACTION_DIGEST
+
+    def test_probe_states_in_order(self):
+        """Per chain length 1, 2, 4: the chain probe, then each circuit gate in ascending id."""
+        gates = two_gate_cfg().circuit.gates + (Gate(4, GateKind.OR, (3,)),)
+        cfg = cfg_from(Circuit(gates, 2, 4), (1, 1))  # 3 logic gates, d1 = 3, m = 2
+        seen = []
+
+        def value_fn(s):
+            seen.append((s.phase, s.chain_len, s.chosen, s.t, s.horizon))
+            return optimal_value(s)
+
+        assert extract_depth_of_one(cfg, value_fn) == 2
+        chain, circuit = Phase.SELECTING_CHAIN, Phase.SELECTING_CIRCUIT
+        assert seen == [
+            (chain, 1, {1}, 1, 3), (circuit, 1, {2}, 1, 3), (circuit, 1, {3}, 1, 3), (circuit, 1, {4}, 1, 3),
+            (chain, 2, {1}, 1, 3), (circuit, 2, {2}, 1, 3), (circuit, 2, {3}, 1, 3), (circuit, 2, {4}, 1, 3),
+            (chain, 4, {1}, 1, 4), (circuit, 4, {2}, 1, 4), (circuit, 4, {3}, 1, 4), (circuit, 4, {4}, 1, 4),
+        ]  # fmt: skip
+
+
+class TestStateContract:
+    def test_every_action_leaves_its_input_state_unchanged(self):
+        cfg = two_gate_cfg()
+        s0 = env_reset(cfg, 3)  # horizon 3
+        s_circuit, _, _ = env_step(s0, PickCircuitGate(3))
+        s_chain, _, _ = env_step(s0, PickChainGate(2))
+        s_last, _, _ = env_step(s_circuit, PASS)  # the next legal step ends the episode
+        s_done, _, done = env_step(s_last, PASS)
+        assert done
+        actions = (PickCircuitGate(2), PickCircuitGate(3), PickChainGate(1), PASS)
+        actions += tuple(SelectGate(g) for g in (1, 2, 3))
+        for s in (s0, s_circuit, s_chain, s_last, s_done):
+            before = (s.config, s.chain_len, s.phase, frozenset(s.chosen), s.t, s.horizon)
+            for a in actions:
+                env_step(s, a)
+                assert tuple(s) == before, (s, a)
+        with pytest.raises(AttributeError):
+            s0.t = 1
+
+    def test_successors_hash_and_compare_by_value(self):
+        cfg = two_gate_cfg()
+        s1, _, _ = env_step(env_reset(cfg, 5), PickCircuitGate(3))
+        via_select = env_step(env_step(s1, SelectGate(2))[0], PASS)[0]
+        via_pass = env_step(env_step(s1, PASS)[0], SelectGate(2))[0]
+        assert via_select is not via_pass
+        assert via_select == via_pass and hash(via_select) == hash(via_pass)
+        assert {via_select: "seen"}[via_pass] == "seen"
+        assert via_select == (cfg, 5, Phase.SELECTING_CIRCUIT, frozenset({2, 3}), 3, 5)
+        config, chain_len, phase, chosen, t, horizon = via_pass
+        assert (phase, chosen, t) == (Phase.SELECTING_CIRCUIT, {2, 3}, 3)
+        assert via_select != env_step(s1, SelectGate(2))[0]
+
+    def test_rollout_rejects_illegal_action(self):
+        cfg = two_gate_cfg()
+        with pytest.raises(RuntimeError, match="illegal action PickChainGate"):
+            rollout(cfg, 2, lambda s: PickChainGate(0))
+        with pytest.raises(RuntimeError, match="illegal action SelectGate"):
+            rollout(cfg, 4, lambda s: PickCircuitGate(3) if s.phase is Phase.FORCED_CHOICE else SelectGate(3))
+
+
 class TestEnvExhaustive:
     def test_policy_equals_brute_force_small(self):
         for seed in range(24):
@@ -425,6 +507,19 @@ class TestEpisodeLog:
         replayed = replay_jsonl(text)
         assert replayed.reward == result.reward
         assert [r.action for r in replayed.steps] == [r.action for r in result.steps]
+
+    def test_replay_decodes_each_action_once(self, monkeypatch):
+        cfg = random_alt_config(19, n_inputs=3, n_gates=7, require_hot=True)
+        text = episode_to_jsonl(cfg, 3, rollout(cfg, 3, oracle_policy))
+        decoded = []
+
+        def counting(d):
+            decoded.append(d)
+            return action_from_dict(d)
+
+        monkeypatch.setattr(do1, "action_from_dict", counting)
+        replayed = replay_jsonl(text)
+        assert len(decoded) == len(replayed.steps) == text.count("\n") - 1
 
     def test_divergent_log_detected(self):
         cfg = two_gate_cfg()
