@@ -95,10 +95,12 @@ class CompiledRule:
 
 
 def _check_table_budget(k: int, max_entries: int) -> None:
+    """Refuse a 2^(2k+1)-entry table over budget without building that number."""
     width = 2 * k + 1
-    entries = 1 << width
-    if entries > max_entries:
-        raise CapacityError(f"2^{width} = {entries} table entries exceeds budget {max_entries}")
+    if max_entries > 0 and width < max_entries.bit_length():  # 2^width <= 2^(bits-1) <= max_entries
+        return
+    entries = f"2^{width} = {1 << width}" if width <= 128 else f"2^{width}"
+    raise CapacityError(f"{entries} table entries exceeds budget {max_entries}")
 
 
 def compile_steps(rule: int, k: int, max_entries: int = DEFAULT_TABLE_BUDGET) -> CompiledRule:
@@ -215,17 +217,9 @@ def cell_at(rule: int, initial: Sequence[int], n_rows: int, i: int) -> int:
     _check_tape(initial)
     if n_rows < 0:
         raise ValueError("n_rows must be >= 0")
-    if n_rows == 0:
-        if not 0 <= i < len(initial):
-            raise ValueError(f"cell index {i} outside width-{len(initial)} frame")
-        rule_table(rule)
-        return initial[i]
     frame = max(len(initial), 2 * n_rows - 1)
     if not 0 <= i < frame:
         raise ValueError(f"cell index {i} outside width-{frame} frame")
     pad = frame - len(initial)
     left = pad // 2
-    row = (0,) * left + tuple(initial) + (0,) * (pad - left)
-    for _ in range(n_rows):
-        row = step(row, rule)
-    return row[i]
+    return evolve((0,) * left + tuple(initial) + (0,) * (pad - left), rule, n_rows)[i]

@@ -16,7 +16,18 @@ from . import automata, derand, do1, s5
 from .circuits import eval_layered, eval_serial, random_circuit
 from .meters import CostMeter
 
-FAMILIES = ("ca", "cvp", "s5", "do1", "derand")
+# Each family's params and their defaults; a param takes the type of its default.
+FAMILY_PARAMS: dict[str, dict[str, int | float]] = {
+    "ca": {"rule": 110, "width": 64},
+    "cvp": {"n_inputs": 4, "fanin_max": 3, "majority_fraction": 0.2},
+    "s5": {},
+    "do1": {"n_inputs": 6, "fanin_max": 3},
+    "derand": {"p": 0.3, "vocab": 2, "delta_all": 0.5, "max_attempts": 16},
+}
+
+FAMILIES = tuple(FAMILY_PARAMS)
+
+CASE_KEYS = ("family", "size", "solver", "seed", "params")
 
 CSV_HEADER = "family,size,solver,seed,work,depth,wall_ns,aux"
 
@@ -46,15 +57,31 @@ class BenchRecord:
     aux: dict = field(default_factory=dict)
 
 
+def _check_type(key: str, value, want: type) -> None:
+    """An int where ``want`` is int, an int or float where it is float; never a bool."""
+    if isinstance(value, bool) or not isinstance(value, (int, float) if want is float else int):
+        raise BenchError(f"{key!r} must be {'a number' if want is float else 'an integer'}, not {value!r}")
+
+
+def family_params(family: str, params: dict) -> dict:
+    """``params`` over ``family``'s defaults; an unknown key or a mistyped value raises ``BenchError``."""
+    defaults = FAMILY_PARAMS[family]
+    unknown = sorted(set(params) - set(defaults))
+    if unknown:
+        raise BenchError(f"unknown {family} param {unknown[0]!r} (allowed: {', '.join(defaults) or 'none'})")
+    for key, value in params.items():
+        _check_type(key, value, type(defaults[key]))
+    return {key: type(default)(params.get(key, default)) for key, default in defaults.items()}
+
+
 def _random_bits(seed, n: int) -> tuple[int, ...]:
     rng = random.Random(seed)
     return tuple(rng.randint(0, 1) for _ in range(n))
 
 
-def _run_ca(case: BenchCase) -> tuple[CostMeter, dict]:
-    rule = int(case.params.get("rule", 110))
-    width = int(case.params.get("width", 64))
-    tape = _random_bits(case.seed, width)
+def _run_ca(case: BenchCase, params: dict) -> tuple[CostMeter, dict]:
+    rule = params["rule"]
+    tape = _random_bits(case.seed, params["width"])
     meter = CostMeter()
     if case.solver == "plain":
         automata.evolve(tape, rule, case.size, meter)
@@ -66,11 +93,9 @@ def _run_ca(case: BenchCase) -> tuple[CostMeter, dict]:
     raise BenchError(f"unsupported ca solver {case.solver!r}")
 
 
-def _run_cvp(case: BenchCase) -> tuple[CostMeter, dict]:
-    n_inputs = int(case.params.get("n_inputs", 4))
-    fanin_max = int(case.params.get("fanin_max", 3))
-    mfrac = float(case.params.get("majority_fraction", 0.2))
-    circuit = random_circuit(case.seed, n_inputs, case.size, fanin_max, mfrac)
+def _run_cvp(case: BenchCase, params: dict) -> tuple[CostMeter, dict]:
+    n_inputs = params["n_inputs"]
+    circuit = random_circuit(case.seed, n_inputs, case.size, params["fanin_max"], params["majority_fraction"])
     bits = _random_bits(f"bits:{case.seed}", n_inputs)
     meter = CostMeter()
     if case.solver == "serial":
@@ -82,7 +107,7 @@ def _run_cvp(case: BenchCase) -> tuple[CostMeter, dict]:
     return meter, {"out": values[circuit.output]}
 
 
-def _run_s5(case: BenchCase) -> tuple[CostMeter, dict]:
+def _run_s5(case: BenchCase, params: dict) -> tuple[CostMeter, dict]:
     word = s5.random_word(case.seed, case.size)
     meter = CostMeter()
     if case.solver == "serial":
@@ -94,10 +119,8 @@ def _run_s5(case: BenchCase) -> tuple[CostMeter, dict]:
     return meter, {"product": s5.format_perm(product)}
 
 
-def _run_do1(case: BenchCase) -> tuple[CostMeter, dict]:
-    n_inputs = int(case.params.get("n_inputs", 6))
-    fanin_max = int(case.params.get("fanin_max", 3))
-    cfg = do1.random_alt_config(case.seed, n_inputs, case.size, fanin_max)
+def _run_do1(case: BenchCase, params: dict) -> tuple[CostMeter, dict]:
+    cfg = do1.random_alt_config(case.seed, params["n_inputs"], case.size, params["fanin_max"])
     meter = CostMeter()
     if case.solver == "serial":
         eval_serial(cfg.circuit, cfg.bits, meter)
@@ -111,16 +134,13 @@ def _run_do1(case: BenchCase) -> tuple[CostMeter, dict]:
     raise BenchError(f"unsupported do1 solver {case.solver!r}")
 
 
-def _run_derand(case: BenchCase) -> tuple[CostMeter, dict]:
+def _run_derand(case: BenchCase, params: dict) -> tuple[CostMeter, dict]:
     if case.solver != "search":
         raise BenchError(f"unsupported derand solver {case.solver!r}")
-    p = float(case.params.get("p", 0.3))
-    vocab = int(case.params.get("vocab", 2))
-    delta_all = float(case.params.get("delta_all", 0.5))
-    max_attempts = int(case.params.get("max_attempts", 16))
-    decider = derand.SimulatedDecider(derand.word_parity, p)
+    vocab = params["vocab"]
+    decider = derand.SimulatedDecider(derand.word_parity, params["p"])
     result = derand.find_universal_seeds(
-        decider, case.size, vocab, delta_all, rng_seed=case.seed, max_attempts=max_attempts
+        decider, case.size, vocab, params["delta_all"], rng_seed=case.seed, max_attempts=params["max_attempts"]
     )
     meter = CostMeter()
     # every attempt checks the full input space with k decider calls apiece
@@ -148,7 +168,7 @@ def run_case(case: BenchCase) -> BenchRecord:
         runner = _RUNNERS.get(case.family)
         if runner is None:
             raise BenchError(f"unsupported family {case.family!r}")
-        meter, aux = runner(case)
+        meter, aux = runner(case, family_params(case.family, case.params))
     except Exception as exc:
         wall = time.perf_counter_ns() - start
         return BenchRecord(case.family, case.size, case.solver, case.seed, 0, 0, wall, {"error": _error_slug(exc)})
@@ -267,23 +287,36 @@ def emit_report(records: list[BenchRecord]) -> str:
     return "\n".join(sections)
 
 
+def _case_from(entry: dict) -> BenchCase:
+    if not isinstance(entry, dict):
+        raise TypeError(f"case must be a JSON object, not {entry!r}")
+    unknown = sorted(set(entry) - set(CASE_KEYS))
+    if unknown:
+        raise BenchError(f"unknown case key {unknown[0]!r} (allowed: {', '.join(CASE_KEYS)})")
+    params = entry.get("params", {})
+    if not isinstance(params, dict):
+        raise TypeError(f"'params' must be a JSON object, not {params!r}")
+    case = BenchCase(entry["family"], entry["size"], entry["solver"], entry.get("seed", 0), dict(params))
+    _check_type("size", case.size, int)
+    _check_type("seed", case.seed, int)
+    if case.family in FAMILY_PARAMS:  # unknown families stay run-time error records
+        family_params(case.family, case.params)
+    return case
+
+
 def load_suite(doc: dict) -> list[BenchCase]:
-    """Build cases from a suite JSON document: {"cases": [{family, size, solver, ...}]}."""
+    """Build cases from a suite JSON document: {"cases": [{family, size, solver, ...}]}.
+
+    A case key other than ``CASE_KEYS``, a param its family does not take,
+    or a value of the wrong type raises ``ValueError`` naming the case index.
+    """
     if "cases" not in doc or not isinstance(doc["cases"], list):
         raise ValueError("suite config needs a 'cases' array")
     cases = []
     for idx, entry in enumerate(doc["cases"]):
         try:
-            cases.append(
-                BenchCase(
-                    family=entry["family"],
-                    size=int(entry["size"]),
-                    solver=entry["solver"],
-                    seed=int(entry.get("seed", 0)),
-                    params=dict(entry.get("params", {})),
-                )
-            )
-        except (KeyError, TypeError) as exc:
+            cases.append(_case_from(entry))
+        except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"bad suite case #{idx}: {exc}") from None
     return cases
 

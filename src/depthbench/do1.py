@@ -17,7 +17,6 @@ bracket on depth-of-one without ever running the circuit serially.
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass
 from enum import Enum
@@ -36,7 +35,6 @@ from .circuits import (
     logic_ids,
     validate,
 )
-from .netlist import format_netlist, parse_assignment, parse_netlist
 
 
 class AlternationError(CircuitError):
@@ -132,17 +130,6 @@ def is_depth_zero(cfg: CircuitConfig) -> bool:
             if gate_value(g.kind, in_vals):
                 return False
     return True
-
-
-def make_chain(k: int) -> Circuit:
-    """Alternating chain of k gates over one constant-1; gate j has depth j."""
-    if k < 1:
-        raise ValueError("chain length must be >= 1")
-    gates = [Gate(0, GateKind.CONST1)]
-    for j in range(1, k + 1):
-        kind = GateKind.OR if j % 2 else GateKind.AND
-        gates.append(Gate(j, kind, (j - 1,)))
-    return Circuit(tuple(gates), 0, k)
 
 
 class Phase(Enum):
@@ -305,115 +292,18 @@ def oracle_policy(s: EnvState) -> Action:
     return PASS
 
 
-@dataclass
-class StepRecord:
-    action: Action
-    state: EnvState
-    reward: int
-    done: bool
-
-
-@dataclass
-class EpisodeResult:
-    reward: int
-    steps: list[StepRecord]
-
-
-def rollout(cfg: CircuitConfig, chain_len: int, policy: Callable[[EnvState], Action]) -> EpisodeResult:
-    """Run one full episode under ``policy`` and record every transition."""
+def rollout(cfg: CircuitConfig, chain_len: int, policy: Callable[[EnvState], Action]) -> int:
+    """Run one full episode under ``policy`` and return its total reward."""
     state = env_reset(cfg, chain_len)
-    steps: list[StepRecord] = []
     total = 0
     while state.phase is not Phase.DONE:
         action = policy(state)
         nxt, reward, done = env_step(state, action)
         if nxt == state and not done:
             raise RuntimeError(f"policy returned illegal action {action!r}; episode cannot advance")
-        steps.append(StepRecord(action, nxt, reward, done))
         total += reward
         state = nxt
-    return EpisodeResult(total, steps)
-
-
-_ACTION_TAGS = {
-    PickCircuitGate: "pick_circuit",
-    PickChainGate: "pick_chain",
-    SelectGate: "select",
-    Pass: "pass",
-}
-
-
-def action_to_dict(a: Action) -> dict:
-    tag = _ACTION_TAGS[type(a)]
-    if isinstance(a, Pass):
-        return {"type": tag}
-    return {"type": tag, "gate": a.gate_id}
-
-
-def action_from_dict(d: dict) -> Action:
-    tag = d.get("type")
-    for cls, name in _ACTION_TAGS.items():
-        if name == tag:
-            return cls() if cls is Pass else cls(d["gate"])
-    raise ValueError(f"unknown action type {tag!r}")
-
-
-def state_obs(s: EnvState) -> dict:
-    """The observable part of a state, as plain JSON-friendly data."""
-    return {
-        "phase": s.phase.value,
-        "chosen": sorted(s.chosen),
-        "t": s.t,
-        "horizon": s.horizon,
-        "chain_len": s.chain_len,
-    }
-
-
-def episode_to_jsonl(cfg: CircuitConfig, chain_len: int, result: EpisodeResult) -> str:
-    """One JSON line per step, preceded by a header that makes replay self-contained."""
-    header = {
-        "netlist": format_netlist(cfg.circuit),
-        "assignment": "".join(str(b) for b in cfg.bits),
-        "chain_len": chain_len,
-    }
-    lines = [json.dumps(header, sort_keys=True)]
-    for rec in result.steps:
-        lines.append(
-            json.dumps(
-                {
-                    "action": action_to_dict(rec.action),
-                    "obs": state_obs(rec.state),
-                    "reward": rec.reward,
-                    "done": rec.done,
-                },
-                sort_keys=True,
-            )
-        )
-    return "\n".join(lines) + "\n"
-
-
-def replay_jsonl(text: str) -> EpisodeResult:
-    """Re-run a logged episode, checking each recorded observation on the way."""
-    lines = [line for line in text.splitlines() if line.strip()]
-    if not lines:
-        raise ValueError("empty episode log")
-    header = json.loads(lines[0])
-    circuit = parse_netlist(header["netlist"])
-    bits = parse_assignment(header["assignment"], circuit.n_inputs)
-    cfg = CircuitConfig(circuit, bits)
-    state = env_reset(cfg, header["chain_len"])
-    steps: list[StepRecord] = []
-    total = 0
-    for lineno, line in enumerate(lines[1:], 2):
-        rec = json.loads(line)
-        action = action_from_dict(rec["action"])
-        nxt, reward, done = env_step(state, action)
-        if state_obs(nxt) != rec["obs"] or reward != rec["reward"] or done != rec["done"]:
-            raise ValueError(f"replay diverged from the log at line {lineno}")
-        steps.append(StepRecord(action, nxt, reward, done))
-        total += reward
-        state = nxt
-    return EpisodeResult(total, steps)
+    return total
 
 
 def extract_depth_of_one(cfg: CircuitConfig, value_fn: Callable[[EnvState], float]) -> int:

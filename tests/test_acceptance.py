@@ -163,7 +163,7 @@ def test_c7_oracle_policy_is_optimal_on_small_instances():
         d1 = do1.depth_of_one(cfg)
         for chain_len in range(1, 9):
             brute = brute_force_value(do1.env_reset(cfg, chain_len))
-            policy_reward = do1.rollout(cfg, chain_len, do1.oracle_policy).reward
+            policy_reward = do1.rollout(cfg, chain_len, do1.oracle_policy)
             checked += 1
             if not policy_reward == brute == max(d1, chain_len):
                 bad += 1

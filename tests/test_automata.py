@@ -180,6 +180,28 @@ def test_table_budget_checked_before_any_round():
     assert evolve_compiled((1, 0, 1), 110, 2, 3, max_entries=128) == naive_evolve((1, 0, 1), 110, 2)
 
 
+def test_huge_k_refused_before_building_the_table():
+    """The budget compares widths first, so no 2^(2k+1) integer is built or printed."""
+    for k in (10_000, 10**9):
+        message = re.escape(f"2^{2 * k + 1} table entries exceeds budget 33554432")
+        with pytest.raises(CapacityError, match=f"^{message}$"):
+            compile_steps(110, k)
+        with pytest.raises(CapacityError, match=f"^{message}$"):
+            evolve_compiled((1, 0), 110, 3, k)
+
+
+def test_table_budget_boundaries():
+    assert len(compile_steps(110, 3, max_entries=128).table) == 128
+    for budget in (127, 0, -1):
+        with pytest.raises(CapacityError, match=f"^2\\^7 = 128 table entries exceeds budget {budget}$"):
+            compile_steps(110, 3, max_entries=budget)
+    # the entry count is written out while it has at most 39 digits (width 128)
+    with pytest.raises(CapacityError, match=f"^2\\^127 = {1 << 127} table entries exceeds budget 33554432$"):
+        compile_steps(110, 63)
+    with pytest.raises(CapacityError, match="^2\\^129 table entries exceeds budget 33554432$"):
+        compile_steps(110, 64)
+
+
 class TestCellAt:
     def test_row_zero_reads_initial(self):
         assert cell_at(110, parse_tape("0110"), 0, 1) == 1

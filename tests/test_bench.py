@@ -11,11 +11,23 @@ from depthbench.bench import (
     default_suite,
     emit_csv,
     emit_report,
+    family_params,
     load_suite,
     parse_csv,
     run_case,
     run_suite,
 )
+
+
+# Suite entries that used to run with a silently dropped key or a coerced
+# value, each with the key its error must name.
+BAD_CASES = [
+    ({"family": "s5", "size": 8, "solver": "tree", "sede": 3}, "sede"),
+    ({"family": "ca", "size": 8, "solver": "plain", "params": {"widht": 8}}, "widht"),
+    ({"family": "s5", "size": 2.7, "solver": "tree"}, "size"),
+    ({"family": "s5", "size": 8, "solver": "tree", "seed": True}, "seed"),
+    ({"family": "ca", "size": 8, "solver": "plain", "params": {"rule": 90.9}}, "rule"),
+]
 
 
 def small_suite():
@@ -172,6 +184,36 @@ class TestSuiteConfig:
     def test_bad_case_rejected(self):
         with pytest.raises(ValueError, match="case #0"):
             load_suite({"cases": [{"family": "s5"}]})
+
+    @pytest.mark.parametrize("entry, key", BAD_CASES)
+    def test_strict_case_rejected(self, entry, key):
+        good = {"family": "s5", "size": 8, "solver": "tree"}
+        with pytest.raises(ValueError, match=f"^bad suite case #1: .*'{key}'"):
+            load_suite({"cases": [good, entry]})
+
+    def test_param_types(self):
+        derand = {"family": "derand", "size": 4, "solver": "search"}
+        case = load_suite({"cases": [{**derand, "params": {"p": 0, "delta_all": 1}}]})[0]
+        assert family_params("derand", case.params) == {"p": 0.0, "vocab": 2, "delta_all": 1.0, "max_attempts": 16}
+        for params, message in [
+            ({"p": True}, "'p' must be a number, not True"),
+            ({"vocab": 2.0}, "'vocab' must be an integer, not 2.0"),
+            ({"max_attempts": "16"}, "'max_attempts' must be an integer, not '16'"),
+        ]:
+            with pytest.raises(ValueError, match=f"^bad suite case #0: {message}$"):
+                load_suite({"cases": [{**derand, "params": params}]})
+        with pytest.raises(ValueError, match=r"unknown s5 param 'rule' \(allowed: none\)"):
+            load_suite({"cases": [{"family": "s5", "size": 8, "solver": "tree", "params": {"rule": 90}}]})
+        with pytest.raises(ValueError, match="'params' must be a JSON object"):
+            load_suite({"cases": [{"family": "ca", "size": 8, "solver": "plain", "params": [["rule", 90]]}]})
+
+    def test_unknown_family_params_left_to_run_time(self):
+        case = load_suite({"cases": [{"family": "quantum", "size": 4, "solver": "serial", "params": {"x": 1}}]})[0]
+        assert run_case(case).aux["error"].startswith("BenchError_unsupported_family")
+
+    def test_runner_rejects_misspelt_param(self):
+        rec = run_case(BenchCase("ca", 4, "plain", seed=0, params={"widht": 8}))
+        assert rec.aux["error"].startswith("BenchError_unknown_ca_param_widht")
 
     def test_default_suite_runs_clean(self):
         records = run_suite(default_suite())

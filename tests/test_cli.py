@@ -9,6 +9,7 @@ from depthbench import automata, s5
 from depthbench.cli import main
 
 from oracles import naive_evolve
+from test_bench import BAD_CASES
 
 CHAIN5 = "const 0 1\nor 1 0\nand 2 1\nor 3 2\nand 4 3\nor 5 4\noutput 5\n"
 
@@ -79,6 +80,11 @@ class TestCa:
             code, out, err = run(capsys, "ca", "110", "0110", *extra, "--k", "40")
             assert (code, out) == (2, ""), extra
             assert "2^81 = 2417851639229258349412352 table entries exceeds budget 33554432" in err, extra
+
+    def test_huge_k_gets_the_budget_message(self, capsys):
+        code, out, err = run(capsys, "ca", "110", "0110", "--rows", "1", "--k", "10000")
+        assert (code, out) == (2, "")
+        assert err == "error: 2^20001 table entries exceeds budget 33554432\n"
 
 
 class TestCvp:
@@ -220,6 +226,14 @@ class TestBench:
         assert out == ""
         assert csv_path.read_text().startswith("family,")
         assert "== family ca ==" in report_path.read_text()
+
+    @pytest.mark.parametrize("entry, key", BAD_CASES)
+    def test_strict_case_is_usage_error(self, capsys, tmp_path, entry, key):
+        cfg = tmp_path / "suite.json"
+        cfg.write_text(json.dumps({"cases": [{"family": "s5", "size": 8, "solver": "tree"}, entry]}))
+        code, out, err = run(capsys, "bench", "--config", str(cfg))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: bad suite case #1: ") and f"'{key}'" in err
 
     def test_bench_without_cases(self, capsys, tmp_path):
         cfg = tmp_path / "empty.json"

@@ -9,7 +9,7 @@ import weakref
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from depthbench import circuits, do1
+from depthbench import circuits
 from depthbench.circuits import (
     Circuit,
     CircuitError,
@@ -32,19 +32,15 @@ from depthbench.do1 import (
     PickChainGate,
     PickCircuitGate,
     SelectGate,
-    action_from_dict,
     depth_of_one,
     env_reset,
     env_step,
-    episode_to_jsonl,
     extract_depth_of_one,
     is_depth_zero,
-    make_chain,
     optimal_value,
     oracle_policy,
     random_alt_circuit,
     random_alt_config,
-    replay_jsonl,
     rollout,
     validate_alternating,
 )
@@ -54,6 +50,17 @@ from oracles import brute_force_value, legal_actions, memo_depths, recursive_eva
 
 def cfg_from(circuit, bits):
     return CircuitConfig(circuit, tuple(bits))
+
+
+def make_chain(k: int) -> Circuit:
+    """Alternating chain of k gates over one constant-1; gate j has depth j."""
+    if k < 1:
+        raise ValueError("chain length must be >= 1")
+    gates = [Gate(0, GateKind.CONST1)]
+    for j in range(1, k + 1):
+        kind = GateKind.OR if j % 2 else GateKind.AND
+        gates.append(Gate(j, kind, (j - 1,)))
+    return Circuit(tuple(gates), 0, k)
 
 
 def reference_d1(cfg):
@@ -318,12 +325,11 @@ class TestOraclePolicy:
         cfg = random_alt_config(7, n_inputs=4, n_gates=30, require_hot=True)
         d1 = depth_of_one(cfg)
         assert d1 >= 2
-        result = rollout(cfg, 1, oracle_policy)
-        assert result.reward == d1
+        assert rollout(cfg, 1, oracle_policy) == d1
 
     def test_prefers_longer_chain(self):
         cfg = two_gate_cfg((1, 1))  # d1 = 2
-        assert rollout(cfg, 8, oracle_policy).reward == 8
+        assert rollout(cfg, 8, oracle_policy) == 8
 
     def test_tie_goes_to_circuit(self):
         cfg = two_gate_cfg((1, 1))
@@ -335,7 +341,7 @@ class TestOraclePolicy:
             cfg = random_alt_config(seed, n_inputs=3, n_gates=8)
             for chain_len in (1, 3, 7):
                 want = max(depth_of_one(cfg), chain_len)
-                assert rollout(cfg, chain_len, oracle_policy).reward == want
+                assert rollout(cfg, chain_len, oracle_policy) == want
 
     def test_raises_on_done(self):
         cfg = two_gate_cfg()
@@ -494,42 +500,8 @@ class TestEnvExhaustive:
             for chain_len in range(1, 9):
                 root = env_reset(cfg, chain_len)
                 brute = brute_force_value(root)
-                policy_reward = rollout(cfg, chain_len, oracle_policy).reward
+                policy_reward = rollout(cfg, chain_len, oracle_policy)
                 assert policy_reward == brute == max(depth_of_one(cfg), chain_len)
-
-
-class TestEpisodeLog:
-    def test_jsonl_round_trip(self):
-        cfg = random_alt_config(19, n_inputs=3, n_gates=7, require_hot=True)
-        result = rollout(cfg, 3, oracle_policy)
-        text = episode_to_jsonl(cfg, 3, result)
-        assert text.count("\n") == len(result.steps) + 1
-        replayed = replay_jsonl(text)
-        assert replayed.reward == result.reward
-        assert [r.action for r in replayed.steps] == [r.action for r in result.steps]
-
-    def test_replay_decodes_each_action_once(self, monkeypatch):
-        cfg = random_alt_config(19, n_inputs=3, n_gates=7, require_hot=True)
-        text = episode_to_jsonl(cfg, 3, rollout(cfg, 3, oracle_policy))
-        decoded = []
-
-        def counting(d):
-            decoded.append(d)
-            return action_from_dict(d)
-
-        monkeypatch.setattr(do1, "action_from_dict", counting)
-        replayed = replay_jsonl(text)
-        assert len(decoded) == len(replayed.steps) == text.count("\n") - 1
-
-    def test_divergent_log_detected(self):
-        cfg = two_gate_cfg()
-        result = rollout(cfg, 2, oracle_policy)
-        text = episode_to_jsonl(cfg, 2, result)
-        tampered = text.replace('"reward": 2', '"reward": 7')
-        if tampered == text:
-            pytest.skip("expected a terminal reward of 2 in the log")
-        with pytest.raises(ValueError, match="diverged"):
-            replay_jsonl(tampered)
 
 
 def test_random_alt_config_deterministic():
