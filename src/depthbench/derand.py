@@ -62,8 +62,7 @@ class SimulatedDecider:
         return h
 
     def decide(self, word: Word, seed: int) -> int:
-        wrong = _mix(self._hash_word(word) ^ _mix(seed & _MASK64)) < self._threshold
-        return self.truth(word) ^ int(wrong)
+        return self.truth(word) ^ (_mix(self._hash_word(word) ^ _mix(seed & _MASK64)) < self._threshold)
 
 
 @dataclass(frozen=True)
@@ -82,20 +81,48 @@ class SeedBundle:
 
 
 def majority_vote(decider, bundle: SeedBundle, word: Word) -> int:
-    """Run the decider once per seed and return the majority bit (no ties: k is odd)."""
-    ones = sum(decider.decide(word, s) for s in bundle.seeds)
+    """Return the majority bit of the decider over the bundle's seeds (no ties: k is odd).
+
+    Seeds are asked in order, and asking stops as soon as one bit has
+    ``k // 2 + 1`` votes, since the rest cannot change the outcome; k
+    decider calls is the worst case.
+    """
+    need = bundle.k // 2 + 1
+    ones = zeros = 0
+    for s in bundle.seeds:
+        if decider.decide(word, s):
+            ones += 1
+            if ones == need:
+                break
+        else:
+            zeros += 1
+            if zeros == need:
+                break
     return int(2 * ones > bundle.k)
 
 
 def hoeffding_k(p: float, delta: float) -> int:
-    """Smallest odd k with exp(-2k(1/2-p)^2) <= delta."""
+    """Smallest odd k with exp(-2k(1/2-p)^2) <= delta.
+
+    The bound is checked both as written and in log form, k·2(1/2-p)^2 >=
+    ln(1/delta): exp rounds a subnormal delta too coarsely to decide it.
+    Raises ``ValueError`` when k would exceed 2^52 (p within roughly 10^-7
+    of 1/2, depending on delta): there k * gamma no longer resolves a step
+    of one in k, so the bound cannot be checked.
+    """
     if not 0 <= p < 0.5:
         raise ValueError(f"error bound p={p} must satisfy 0 <= p < 1/2")
     if not 0 < delta < 1:
         raise ValueError(f"target delta={delta} must lie in (0, 1)")
     gamma = 2 * (0.5 - p) ** 2
-    k = max(1, math.ceil(math.log(1 / delta) / gamma))
-    while math.exp(-k * gamma) > delta:  # guard against float rounding
+    target = -math.log(delta)
+    k = max(1, math.ceil(target / gamma))
+    if k > 1 << 52:
+        raise ValueError(f"p={p} with delta={delta} needs about {k} seeds, more than 2^52")
+    # the rounded quotient can miss the smallest k by one either way
+    while k > 1 and (k - 1) * gamma >= target:
+        k -= 1
+    while k * gamma < target or math.exp(-k * gamma) > delta:
         k += 1
     return k if k % 2 else k + 1
 
@@ -113,7 +140,7 @@ def union_bound_k(n: int, vocab_size: int, delta_all: float, p: float) -> int:
     if p == 0:
         return 1
     gamma = 2 * (0.5 - p) ** 2
-    k = max(1, math.ceil((n * math.log(vocab_size) + math.log(1 / delta_all)) / gamma))
+    k = max(1, math.ceil((n * math.log(vocab_size) - math.log(delta_all)) / gamma))
     return k if k % 2 else k + 1
 
 
@@ -124,11 +151,11 @@ def all_words(n: int, vocab_size: int) -> Iterator[Word]:
 
 def count_bundle_errors(decider, bundle: SeedBundle, n: int, vocab_size: int) -> int:
     """Exhaustive count of inputs where the majority vote disagrees with the truth."""
-    return sum(
-        1
-        for w in all_words(n, vocab_size)
-        if majority_vote(decider, bundle, w) != decider.truth(w)
-    )
+    bad = 0
+    for w in all_words(n, vocab_size):
+        if majority_vote(decider, bundle, w) != decider.truth(w):
+            bad += 1
+    return bad
 
 
 @dataclass
@@ -157,12 +184,14 @@ def find_universal_seeds(
     """Draw random bundles until one is correct on every length-n word.
 
     The bundle size comes from the union bound at ``delta_all``; each
-    attempt is verified exhaustively, recording its error count.  The
-    budget ``max_inputs`` bounds running time: both the input space vocab^n
-    and one attempt's decider calls, k * vocab^n, must fit it, and a
-    ``CapacityError`` is raised before any seed is drawn otherwise (k grows
-    without bound as p nears 1/2).  Failure after ``max_attempts`` returns a
-    result with ``bundle=None`` and the full per-attempt error history.
+    attempt is verified exhaustively, recording its error count.  An
+    attempt makes at most k * vocab^n decider calls: each vote stops once
+    one bit has a majority, so usually far fewer.  The budget
+    ``max_inputs`` bounds running time by that worst case: both the input
+    space vocab^n and k * vocab^n must fit it, and a ``CapacityError`` is
+    raised before any seed is drawn otherwise (k grows without bound as p
+    nears 1/2).  Failure after ``max_attempts`` returns a result with
+    ``bundle=None`` and the full per-attempt error history.
     """
     if n < 1 or vocab_size < 1:
         raise ValueError("n and vocab_size must be >= 1")

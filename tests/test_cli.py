@@ -192,6 +192,18 @@ class TestDerand:
         code, _, err = run(capsys, "derand", "--bound-only", "--p", "0.7")
         assert code == 2
 
+    def test_subnormal_delta(self, capsys):
+        code, out, _ = run(capsys, "derand", "--bound-only", "--delta", "5e-324", "--p", "0.1")
+        assert (code, out) == (0, "2327\n")
+        code, out, _ = run(capsys, "derand", "--delta-all", "1e-320", "--n", "2")
+        doc = json.loads(out)
+        assert (code, doc["success"], doc["k"], len(doc["seeds"])) == (0, True, 9229, 9229)
+
+    def test_bound_past_float_precision_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "derand", "--bound-only", "--p", "0.49999999999999994", "--delta", "0.05")
+        assert (code, out) == (2, "")
+        assert "more than 2^52" in err
+
     def test_search_past_call_budget_is_usage_error(self, capsys):
         code, out, err = run(capsys, "derand", "--p", "0.4999999", "--n", "2")
         assert (code, out) == (2, "")

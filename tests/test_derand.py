@@ -1,5 +1,6 @@
 """Majority-vote replication counts, simulated deciders, universal-seed search."""
 
+import hashlib
 import math
 import random
 
@@ -43,6 +44,37 @@ class TestHoeffdingK:
         lo, hi = sorted((d1, d2))
         assert hoeffding_k(p, lo) >= hoeffding_k(p, hi)
 
+    @given(
+        p=st.floats(0.0, 0.5, exclude_max=True),
+        delta=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    )
+    def test_smallest_odd_k_meeting_the_bound(self, p, delta):
+        gamma = 2 * (0.5 - p) ** 2
+        target = -math.log(delta)
+        if math.ceil(target / gamma) > 2**52:
+            with pytest.raises(ValueError, match=r"more than 2\^52$"):
+                hoeffding_k(p, delta)
+            return
+        k = hoeffding_k(p, delta)
+        assert k % 2 == 1
+        assert math.exp(-k * gamma) <= delta
+        assert k * gamma >= target
+        if k > 1:
+            # k - 2 misses the bound as written or in log form: exp of a
+            # subnormal delta is too coarse to show the miss by itself
+            assert math.exp(-(k - 2) * gamma) > delta or (k - 2) * gamma < target
+
+    def test_subnormal_delta(self):
+        # 1 / 5e-324 overflows; ln(1/delta) = 744.44, and 744.44 / 0.32 rounds up to 2327
+        assert hoeffding_k(0.1, 5e-324) == 2327
+        assert union_bound_k(2, 2, 1e-320, 0.3) == 9229
+
+    def test_k_past_float_precision_refused(self):
+        # k is about 5e32, where k + 1 rounds to the same float as k: a guard that steps k by one never ends
+        with pytest.raises(ValueError, match=r"needs about \d+ seeds, more than 2\^52$"):
+            hoeffding_k(0.49999999999999994, 0.05)
+        assert hoeffding_k(0.4999999, 0.05) == 149_786_613_669_087  # about 2^47: still answered
+
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
             hoeffding_k(0.5, 0.01)
@@ -83,7 +115,30 @@ class TestSimulatedDecider:
             SimulatedDecider(word_parity, 0.5)
 
 
+class ScriptedDecider:
+    """Votes bit i of ``pattern`` for seed i and counts its calls."""
+
+    def __init__(self, pattern):
+        self.pattern = pattern
+        self.calls = 0
+
+    def decide(self, word, seed):
+        self.calls += 1
+        return (self.pattern >> seed) & 1
+
+
 class TestMajorityVote:
+    @pytest.mark.parametrize("k", [1, 3, 5, 7, 9])
+    def test_stops_at_the_first_majority(self, k):
+        bundle = SeedBundle(tuple(range(k)))
+        need = k // 2 + 1
+        for pattern in range(1 << k):
+            votes = [(pattern >> i) & 1 for i in range(k)]
+            settled = next(i + 1 for i in range(k) if need in (sum(votes[: i + 1]), i + 1 - sum(votes[: i + 1])))
+            decider = ScriptedDecider(pattern)
+            assert majority_vote(decider, bundle, (0,)) == int(2 * sum(votes) > k), pattern
+            assert decider.calls == settled, pattern
+
     def test_bundle_must_be_odd(self):
         with pytest.raises(ValueError):
             SeedBundle((1, 2))
@@ -204,3 +259,46 @@ class TestFindUniversalSeeds:
         assert result.success
         for word in all_words(3, 3):
             assert majority_vote(d, result.bundle, word) == d.truth(word)
+
+
+def decide_digest():
+    h = hashlib.sha256()
+    seeds = (0, 1, 2, 17, 2**32, 2**63, 2**64 - 1, 2**64, 2**64 + 5, 2**100 + 3, -1, -2, -(2**64), -(2**70) - 9)
+    for p in (0.0, 0.1, 0.3, 0.45):
+        d = SimulatedDecider(word_parity, p)
+        for n, vocab in ((1, 2), (3, 2), (5, 2), (3, 3)):
+            for word in all_words(n, vocab):
+                h.update((" ".join(str(d.decide(word, s)) for s in seeds) + "\n").encode())
+    # one seed asked of two deciders in turn
+    a = SimulatedDecider(word_parity, 0.3)
+    b = SimulatedDecider(lambda w: int(sum(w) % 3 == 0), 0.2)
+    for seed in (5, -5, 2**64 + 5):
+        for word in all_words(4, 3):
+            h.update(f"{a.decide(word, seed)} {b.decide(word, seed)}\n".encode())
+    return h.hexdigest()
+
+
+def search_digest():
+    h = hashlib.sha256()
+    for p in (0.1, 0.2, 0.3, 0.45):
+        for vocab, ns in ((2, (2, 4, 6)), (3, (2, 3))):
+            for n in ns:
+                d = SimulatedDecider(word_parity, p)
+                for rng_seed in range(10):
+                    r = find_universal_seeds(d, n, vocab, 0.5, rng_seed)
+                    seeds = r.bundle.seeds if r.bundle else None
+                    h.update(f"{p} {vocab} {n} {rng_seed} {seeds} {r.k} {r.attempts} {r.per_attempt_errors}\n".encode())
+    return h.hexdigest()
+
+
+# computed before votes stopped at a majority and seed hashes were cached
+DECIDE_DIGEST = "0685b458d43a88301a994757d1bf4f2b8098fa35787e01436eb87823a5143192"
+SEARCH_DIGEST = "5b933a22d43fefbe0fa96dd71f738737ba3e333f49cc5485de45703c85d023df"
+
+
+class TestPinned:
+    def test_decisions_are_pinned(self):
+        assert decide_digest() == DECIDE_DIGEST
+
+    def test_searches_are_pinned(self):
+        assert search_digest() == SEARCH_DIGEST
