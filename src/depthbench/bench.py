@@ -182,38 +182,33 @@ def run_suite(cases: list[BenchCase]) -> list[BenchRecord]:
     return [run_case(c) for c in cases]
 
 
-def _parse_scalar(s: str):
-    """Canonical-form typing: a token is an int or float only if it reads
-    back to the same text, so leading-zero strings like "01234" stay str."""
+def _parse_aux_value(s: str) -> int | str:
+    """Quoted text is a str; an int only if it reads back to the same text,
+    so leading-zero strings like "01234" stay str."""
+    if len(s) >= 2 and s.startswith('"') and s.endswith('"'):
+        return s[1:-1]
     try:
         if str(int(s)) == s:
             return int(s)
     except ValueError:
         pass
-    try:
-        if repr(float(s)) == s:
-            return float(s)
-    except ValueError:
-        pass
     return s
 
 
-def _format_aux_value(v) -> str:
-    if isinstance(v, float):
-        return repr(v)
-    if isinstance(v, str) and (v.startswith('"') or _parse_scalar(v) != v):
-        return f'"{v}"'  # protect strings that would read back as numbers
+def _format_aux_value(v: int | str) -> str:
+    if isinstance(v, bool) or not isinstance(v, (int, str)):
+        raise ValueError(f"aux value {v!r} must be an int or a str")
+    if isinstance(v, str) and _parse_aux_value(v) != v:
+        return f'"{v}"'  # protect strings that would read back as ints or lose their quotes
     return str(v)
 
 
-def _parse_aux_value(s: str):
-    if len(s) >= 2 and s.startswith('"') and s.endswith('"'):
-        return s[1:-1]
-    return _parse_scalar(s)
-
-
 def emit_csv(records: list[BenchRecord]) -> str:
-    """Fixed-header CSV; aux is a semicolon-joined key=value list."""
+    """Fixed-header CSV; aux is a semicolon-joined key=value list.
+
+    An aux value must be an int or a str (not a bool): anything else
+    raises ``ValueError``, so ``parse_csv`` reads back every value emitted.
+    """
     lines = [CSV_HEADER]
     for r in records:
         aux = ";".join(f"{k}={_format_aux_value(v)}" for k, v in r.aux.items())
@@ -222,7 +217,11 @@ def emit_csv(records: list[BenchRecord]) -> str:
 
 
 def parse_csv(text: str) -> list[BenchRecord]:
-    """Inverse of ``emit_csv``: every non-float field round-trips exactly."""
+    """Inverse of ``emit_csv``: every field round-trips exactly, aux ints and strings included.
+
+    Text fields must not hold the separators ``,``, ``;`` and newline (nor
+    ``=`` in an aux key); no runner emits them.
+    """
     lines = text.splitlines()
     if not lines or lines[0] != CSV_HEADER:
         raise ValueError(f"bad CSV header: expected {CSV_HEADER!r}")

@@ -50,19 +50,17 @@ class SimulatedDecider:
         self.truth = truth
         self.p = p
         self._threshold = int(p * 2**64)
-        self._word_hash: dict[Word, int] = {}
+        # the last word asked and its hash: a vote asks one word of every seed in turn
+        self._word: Word | None = None
+        self._word_hash = 0
 
-    def _hash_word(self, word: Word) -> int:
-        h = self._word_hash.get(word)
-        if h is None:
+    def decide(self, word: Word, seed: int) -> int:
+        if word != self._word:
             h = 0x8BADF00D
             for tok in word:
                 h = _mix(h ^ (tok + 1))
-            self._word_hash[word] = h
-        return h
-
-    def decide(self, word: Word, seed: int) -> int:
-        return self.truth(word) ^ (_mix(self._hash_word(word) ^ _mix(seed & _MASK64)) < self._threshold)
+            self._word, self._word_hash = tuple(word), h
+        return self.truth(word) ^ (_mix(self._word_hash ^ _mix(seed & _MASK64)) < self._threshold)
 
 
 @dataclass(frozen=True)
@@ -101,21 +99,16 @@ def majority_vote(decider, bundle: SeedBundle, word: Word) -> int:
     return int(2 * ones > bundle.k)
 
 
-def hoeffding_k(p: float, delta: float) -> int:
-    """Smallest odd k with exp(-2k(1/2-p)^2) <= delta.
+def _smallest_odd_k(p: float, target: float, delta: float) -> int:
+    """Smallest odd k with k·2(1/2-p)^2 >= target and exp(-k·2(1/2-p)^2) <= delta.
 
-    The bound is checked both as written and in log form, k·2(1/2-p)^2 >=
-    ln(1/delta): exp rounds a subnormal delta too coarsely to decide it.
-    Raises ``ValueError`` when k would exceed 2^52 (p within roughly 10^-7
-    of 1/2, depending on delta): there k * gamma no longer resolves a step
-    of one in k, so the bound cannot be checked.
+    ``target`` is ln(1/delta); the bound is checked in both forms, since exp
+    rounds a subnormal delta too coarsely to decide it.  Raises
+    ``ValueError`` when k would exceed 2^52 (p within roughly 10^-7 of 1/2,
+    depending on delta): there k * gamma no longer resolves a step of one
+    in k, so the bound cannot be checked.
     """
-    if not 0 <= p < 0.5:
-        raise ValueError(f"error bound p={p} must satisfy 0 <= p < 1/2")
-    if not 0 < delta < 1:
-        raise ValueError(f"target delta={delta} must lie in (0, 1)")
     gamma = 2 * (0.5 - p) ** 2
-    target = -math.log(delta)
     k = max(1, math.ceil(target / gamma))
     if k > 1 << 52:
         raise ValueError(f"p={p} with delta={delta} needs about {k} seeds, more than 2^52")
@@ -127,11 +120,22 @@ def hoeffding_k(p: float, delta: float) -> int:
     return k if k % 2 else k + 1
 
 
-def union_bound_k(n: int, vocab_size: int, delta_all: float, p: float) -> int:
-    """Odd k making the union bound over all vocab^n inputs close at delta_all.
+def hoeffding_k(p: float, delta: float) -> int:
+    """Smallest odd k with exp(-2k(1/2-p)^2) <= delta; see ``_smallest_odd_k``."""
+    if not 0 <= p < 0.5:
+        raise ValueError(f"error bound p={p} must satisfy 0 <= p < 1/2")
+    if not 0 < delta < 1:
+        raise ValueError(f"target delta={delta} must lie in (0, 1)")
+    return _smallest_odd_k(p, -math.log(delta), delta)
 
-    Needs k >= (n ln vocab + ln(1/delta_all)) / (2 (1/2 - p)^2); a decider
-    with p = 0 is never wrong, so k = 1 suffices there.
+
+def union_bound_k(n: int, vocab_size: int, delta_all: float, p: float) -> int:
+    """Smallest odd k making the union bound over all vocab^n inputs close at delta_all.
+
+    That is ``hoeffding_k`` at a per-input delta of delta_all / vocab^n,
+    taken in log form, ln(1/delta) = n ln vocab + ln(1/delta_all), so a
+    large input space cannot underflow it.  A decider with p = 0 is never
+    wrong, so k = 1 suffices there.
     """
     if not 0 <= p < 0.5:
         raise ValueError(f"error bound p={p} must satisfy 0 <= p < 1/2")
@@ -139,9 +143,8 @@ def union_bound_k(n: int, vocab_size: int, delta_all: float, p: float) -> int:
         raise ValueError(f"delta_all={delta_all} must lie in (0, 1)")
     if p == 0:
         return 1
-    gamma = 2 * (0.5 - p) ** 2
-    k = max(1, math.ceil((n * math.log(vocab_size) - math.log(delta_all)) / gamma))
-    return k if k % 2 else k + 1
+    target = n * math.log(vocab_size) - math.log(delta_all)
+    return _smallest_odd_k(p, target, math.exp(-target))
 
 
 def all_words(n: int, vocab_size: int) -> Iterator[Word]:

@@ -409,14 +409,13 @@ def random_alt_config(
     n_gates: int,
     fanin_max: int = 3,
     require_hot: bool = False,
-    max_tries: int = 64,
 ) -> CircuitConfig:
-    """Random configuration; with ``require_hot`` redraw until depth-of-one >= 1."""
+    """Random configuration; with ``require_hot`` redraw, up to 64 times, until depth-of-one >= 1."""
     rng = random.Random(seed)
-    for _ in range(max_tries):
+    for _ in range(64):
         circuit = random_alt_circuit(rng.getrandbits(32), n_inputs, n_gates, fanin_max)
         bits = tuple(rng.randint(0, 1) for _ in range(n_inputs))
         cfg = CircuitConfig(circuit, bits)
         if not require_hot or depth_of_one(cfg) >= 1:
             return cfg
-    raise RuntimeError(f"no hot configuration found in {max_tries} draws")
+    raise RuntimeError("no hot configuration found in 64 draws")

@@ -41,23 +41,6 @@ def inverse(p: Perm) -> Perm:
     return tuple(inv)  # type: ignore[return-value]
 
 
-def parity(p: Perm) -> int:
-    """0 for even, 1 for odd, via cycle decomposition."""
-    seen = [False] * 5
-    odd = 0
-    for i in range(5):
-        if seen[i]:
-            continue
-        length = 0
-        j = i
-        while not seen[j]:
-            seen[j] = True
-            j = p[j]
-            length += 1
-        odd ^= (length - 1) & 1
-    return odd
-
-
 def fold_serial(word: Sequence[Perm], meter: CostMeter | None = None) -> Perm:
     """Left-to-right product; every composition is a sequential round."""
     if not word:
@@ -147,10 +130,6 @@ def parse_perm(s: str) -> Perm:
     if len(s) != 5 or any(ch not in "01234" for ch in s):
         raise ValueError(f"{s!r} is not a 5-digit image string over 0..4")
     return check_perm(tuple(int(ch) for ch in s))
-
-
-def format_words(word: Sequence[Perm]) -> str:
-    return "\n".join(format_perm(p) for p in word) + "\n"
 
 
 def parse_words(text: str) -> list[Perm]:

@@ -99,6 +99,10 @@ class TestRunners:
         assert "error" in records[0].aux
         assert records[0].work == records[0].depth == 0
         assert "error" not in records[1].aux
+        for family in ("cvp", "s5", "do1", "derand"):
+            rec = run_case(BenchCase(family, 4, "warp", seed=0))
+            assert rec.aux == {"error": f"BenchError_unsupported_{family}_solver_warp"}, family
+            assert rec.work == rec.depth == 0, family
 
     def test_unknown_family_yields_error_record(self):
         rec = run_case(BenchCase("quantum", 4, "serial", seed=0))
@@ -124,6 +128,17 @@ class TestCsv:
     def test_round_trip_exact(self):
         records = run_suite(small_suite())
         assert parse_csv(emit_csv(records)) == records
+
+    def test_strings_quoted_only_where_needed(self):
+        aux = {"a": "12", "b": "012", "c": "1.5", "d": '"x"', "e": '"', "f": "", "g": -3}
+        text = emit_csv([BenchRecord("s5", 1, "tree", 0, 0, 0, 0, aux)])
+        assert text.endswith(',a="12";b=012;c=1.5;d=""x"";e=";f=;g=-3\n')
+        assert parse_csv(text)[0].aux == aux
+
+    @pytest.mark.parametrize("value", [1.5, True, None, (1,)])
+    def test_aux_value_must_be_int_or_str(self, value):
+        with pytest.raises(ValueError, match="must be an int or a str"):
+            emit_csv([BenchRecord("s5", 1, "tree", 0, 0, 0, 0, {"v": value})])
 
     def test_bad_header_rejected(self):
         with pytest.raises(ValueError, match="header"):

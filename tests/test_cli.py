@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from depthbench import automata, s5
+from depthbench import automata, bench, s5
 from depthbench.cli import main
 
 from oracles import naive_evolve
@@ -85,6 +85,19 @@ class TestCa:
         code, out, err = run(capsys, "ca", "110", "0110", "--rows", "1", "--k", "10000")
         assert (code, out) == (2, "")
         assert err == "error: 2^20001 table entries exceeds budget 33554432\n"
+
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            (["--cell", "1"], "--cell requires --row"),
+            (["--row", "2", "--cell", "1", "--k", "2"], "--k cannot be combined with --cell"),
+            (["--rows", "0"], "--rows must be >= 1"),
+        ],
+    )
+    def test_flag_misuse_is_usage_error(self, capsys, extra, message):
+        code, out, err = run(capsys, "ca", "110", "0110", *extra)
+        assert (code, out) == (2, "")
+        assert message in err
 
 
 class TestCvp:
@@ -204,6 +217,13 @@ class TestDerand:
         assert (code, out) == (2, "")
         assert "more than 2^52" in err
 
+    def test_failed_search_exits_1(self, capsys):
+        argv = ["derand", "--p", "0.3", "--n", "4", "--delta-all", "0.99", "--rng-seed", "7", "--max-attempts", "1"]
+        code, out, err = run(capsys, *argv)
+        doc = json.loads(out)
+        assert (code, doc["success"], doc["seeds"], doc["per_attempt_errors"]) == (1, False, None, [2])
+        assert err == "no universal bundle in 1 attempts\n"
+
     def test_search_past_call_budget_is_usage_error(self, capsys):
         code, out, err = run(capsys, "derand", "--p", "0.4999999", "--n", "2")
         assert (code, out) == (2, "")
@@ -238,6 +258,16 @@ class TestBench:
         assert out == ""
         assert csv_path.read_text().startswith("family,")
         assert "== family ca ==" in report_path.read_text()
+
+    def test_report_to_stdout(self, capsys, tmp_path):
+        suite = {"cases": [{"family": "s5", "size": 16, "solver": "tree", "seed": 1}]}
+        cfg = tmp_path / "suite.json"
+        cfg.write_text(json.dumps(suite))
+        csv_path = tmp_path / "out.csv"
+        code, out, _ = run(capsys, "bench", "--config", str(cfg), "--csv", str(csv_path), "--report", "-")
+        records = bench.parse_csv(csv_path.read_text())
+        assert (code, out) == (0, bench.emit_report(records) + "\n")
+        assert "== family s5 ==" in out
 
     @pytest.mark.parametrize("entry, key", BAD_CASES)
     def test_strict_case_is_usage_error(self, capsys, tmp_path, entry, key):

@@ -75,6 +75,10 @@ class TestHoeffdingK:
             hoeffding_k(0.49999999999999994, 0.05)
         assert hoeffding_k(0.4999999, 0.05) == 149_786_613_669_087  # about 2^47: still answered
 
+    def test_rounded_quotient_one_too_high(self):
+        # ceil(ln(1e176) / gamma) is 272699178229020, one past the smallest k meeting the bound
+        assert hoeffding_k(0.499999138, 1e-176) == 272_699_178_229_019
+
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
             hoeffding_k(0.5, 0.01)
@@ -113,6 +117,22 @@ class TestSimulatedDecider:
     def test_rejects_p_at_half(self):
         with pytest.raises(ValueError):
             SimulatedDecider(word_parity, 0.5)
+
+    def test_holds_at_most_one_word(self):
+        d = SimulatedDecider(word_parity, 0.1)
+        assert find_universal_seeds(d, 10, 2, 0.5, rng_seed=0).success  # asks all 2^10 words
+        for name, value in vars(d).items():
+            assert not isinstance(value, (dict, list, set, frozenset)), name
+            if isinstance(value, tuple):
+                assert len(value) == 10 and all(isinstance(tok, int) for tok in value), name
+
+    def test_word_given_as_a_list(self):
+        d = SimulatedDecider(word_parity, 0.3)
+        word = [0, 1, 1]
+        first = [d.decide(word, s) for s in range(20)]
+        word[0] = 1  # the same list, now another word
+        assert [d.decide(word, s) for s in range(20)] == [d.decide((1, 1, 1), s) for s in range(20)]
+        assert first == [SimulatedDecider(word_parity, 0.3).decide((0, 1, 1), s) for s in range(20)]
 
 
 class ScriptedDecider:
@@ -176,6 +196,11 @@ class TestUnionBoundK:
 
     def test_p_zero_needs_single_seed(self):
         assert union_bound_k(8, 2, 0.5, 0.0) == 1
+
+    def test_k_past_float_precision_refused(self):
+        # the same rounding as hoeffding_k, at a per-input delta of 0.5 / 2^2
+        with pytest.raises(ValueError, match=r"^p=0.49999999 with delta=0.125\d* needs about \d+ seeds, more than 2\^52$"):
+            union_bound_k(2, 2, 0.5, 0.49999999)
 
     @pytest.mark.parametrize("p", [0.5, 0.7])
     def test_p_at_or_above_half_rejected(self, p):
@@ -291,7 +316,7 @@ def search_digest():
     return h.hexdigest()
 
 
-# computed before votes stopped at a majority and seed hashes were cached
+# computed when every vote asked all k seeds and a decider kept every word's hash
 DECIDE_DIGEST = "0685b458d43a88301a994757d1bf4f2b8098fa35787e01436eb87823a5143192"
 SEARCH_DIGEST = "5b933a22d43fefbe0fa96dd71f738737ba3e333f49cc5485de45703c85d023df"
 

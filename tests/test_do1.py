@@ -288,6 +288,13 @@ class TestEnvMechanics:
         s, r, done = env_step(s, SelectGate(2))
         assert (r, done) == (2, True)
 
+    def test_oracle_policy_selects_an_unchosen_target(self):
+        # a first pick the oracle would not make: it still grabs the chain's deepest gate next
+        s, _, _ = env_step(env_reset(two_gate_cfg(), 4), PickChainGate(1))
+        assert oracle_policy(s) == SelectGate(4)
+        s, _, _ = env_step(s, SelectGate(4))
+        assert oracle_policy(s) is PASS
+
 
 class TestOptimalValue:
     def test_forced_choice_value(self):

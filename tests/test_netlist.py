@@ -2,8 +2,10 @@
 
 import pytest
 
-from depthbench.circuits import GateKind, cvp, random_circuit
+from depthbench.circuits import GateKind, cvp, eval_layered, eval_serial, random_circuit
 from depthbench.netlist import NetlistError, format_netlist, parse_assignment, parse_netlist
+
+from oracles import memo_depths, recursive_eval
 
 
 NOT_GATE = "input 0\nnot 1 0\noutput 1\n"
@@ -27,6 +29,17 @@ def test_const_and_majority_tokens():
     assert c.gates[0].kind is GateKind.CONST1
     assert c.gates[1].kind is GateKind.CONST0
     assert cvp(c, ()) == 1  # two hot of three
+    assert format_netlist(c) == text
+
+
+def test_gates_may_read_later_ids():
+    # gate 1 reads gate 2: the depth walk finishes gate 2 from gate 1 and skips it afterwards
+    text = "input 0\nand 1 2\nor 2 0\noutput 1\n"
+    c = parse_netlist(text)
+    assert c.depths == tuple(memo_depths(c)) == (0, 2, 1)
+    for bits in ((0,), (1,)):
+        assert eval_serial(c, bits) == eval_layered(c, bits) == recursive_eval(c, bits) == (bits[0],) * 3
+    assert format_netlist(c) == text
 
 
 def test_format_is_canonical_fixed_point():
