@@ -23,6 +23,7 @@ import sys
 from depthbench.do1 import (
     CountingOracle,
     NoisyOracle,
+    bracket,
     depth_of_one,
     extract_depth_of_one,
     optimal_value,
@@ -56,11 +57,11 @@ def main(argv: list[str] | None = None) -> int:
 
             counting = CountingOracle(optimal_value)
             exact = extract_depth_of_one(cfg, counting)
-            exact_ok = exact <= d1 < 2 * exact
+            exact_ok, _ = bracket(exact, d1, 1.0)
 
             noisy_fn = NoisyOracle(optimal_value, args.eps, seed=args.seed + i)
             noisy = extract_depth_of_one(cfg, noisy_fn)
-            noisy_ok = args.eps * noisy <= d1 <= (2 / args.eps) * noisy
+            noisy_ok, _ = bracket(noisy, d1, args.eps)
 
             violations += (not exact_ok) + (not noisy_ok)
             print(f"{size:>5} {d1:>4} {exact:>8} {counting.calls:>6} "

@@ -10,6 +10,8 @@ only on its width-(2k+1) light cone of real cells, so one lookup
 reproduces k plain steps exactly; the k cells nearest each end instead
 come from direct evolution of a short border patch, because a
 position-independent window table cannot express the pinned-zero edge.
+Plain and compiled rows share one window lookup: a plain row reads the rule
+table over the tape padded with a 0 at each end, a compiled row the k-row one.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from typing import Iterator, Sequence
 
 from .meters import CapacityError, CostMeter
 
-DEFAULT_TABLE_BUDGET = 1 << 25  # max compiled-table entries
+TABLE_BUDGET = 1 << 25  # max compiled-table entries
 
 
 def parse_tape(s: str) -> tuple[int, ...]:
@@ -36,12 +38,27 @@ def rule_table(rule: int) -> tuple[int, ...]:
     """Bit b of the rule number, for neighborhood code b = 4*left + 2*center + right."""
     if not 0 <= rule <= 255:
         raise ValueError(f"rule {rule} outside 0..255")
-    return tuple((rule >> b) & 1 for b in range(8))
+    return tuple([(rule >> b) & 1 for b in range(8)])  # a list builds faster than a generator
 
 
 def _check_tape(cells: Sequence[int]) -> None:
     if len(cells) == 0:
         raise ValueError("tape must be non-empty")
+    if cells.count(0) + cells.count(1) != len(cells):
+        raise ValueError("tape cells must be 0 or 1")
+
+
+def _lookups(tape: Sequence[int], table: Sequence[int], k: int) -> tuple[int, ...]:
+    """``table`` read at every full (2k+1)-cell window of ``tape``, left to right, MSB first."""
+    mask = (1 << (2 * k + 1)) - 1
+    code = 0
+    for c in tape[: 2 * k]:
+        code = (code << 1) | c
+    out = []
+    for c in tape[2 * k :]:
+        code = ((code << 1) | c) & mask
+        out.append(table[code])
+    return tuple(out)
 
 
 def step(cells: Sequence[int], rule: int, meter: CostMeter | None = None) -> tuple[int, ...]:
@@ -49,13 +66,8 @@ def step(cells: Sequence[int], rule: int, meter: CostMeter | None = None) -> tup
     _check_tape(cells)
     table = rule_table(rule)
     meter = meter if meter is not None else CostMeter()
-    padded = (0, *cells, 0)
-    out = tuple(
-        table[(padded[i] << 2) | (padded[i + 1] << 1) | padded[i + 2]]
-        for i in range(len(cells))
-    )
     meter.charge(len(cells), 1)
-    return out
+    return _lookups((0, *cells, 0), table, 1)
 
 
 def plain_rounds(
@@ -94,16 +106,16 @@ class CompiledRule:
     table: tuple[int, ...]  # index reads the window left-to-right, MSB first
 
 
-def _check_table_budget(k: int, max_entries: int) -> None:
-    """Refuse a 2^(2k+1)-entry table over budget without building that number."""
+def _check_table_budget(k: int) -> None:
+    """Refuse a 2^(2k+1)-entry table over ``TABLE_BUDGET`` without building that number."""
     width = 2 * k + 1
-    if max_entries > 0 and width < max_entries.bit_length():  # 2^width <= 2^(bits-1) <= max_entries
+    if TABLE_BUDGET > 0 and width < TABLE_BUDGET.bit_length():  # 2^width <= 2^(bits-1) <= budget
         return
     entries = f"2^{width} = {1 << width}" if width <= 128 else f"2^{width}"
-    raise CapacityError(f"{entries} table entries exceeds budget {max_entries}")
+    raise CapacityError(f"{entries} table entries exceeds budget {TABLE_BUDGET}")
 
 
-def compile_steps(rule: int, k: int, max_entries: int = DEFAULT_TABLE_BUDGET) -> CompiledRule:
+def compile_steps(rule: int, k: int) -> CompiledRule:
     """Build the k-row table: entry = center cell after k plain steps of its window.
 
     The j-row table follows from the (j-1)-row one: the center of a
@@ -115,7 +127,7 @@ def compile_steps(rule: int, k: int, max_entries: int = DEFAULT_TABLE_BUDGET) ->
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    _check_table_budget(k, max_entries)
+    _check_table_budget(k)
     one_row = rule_table(rule)
     table = one_row
     for j in range(2, k + 1):
@@ -145,27 +157,13 @@ def step_compiled(cells: Sequence[int], cr: CompiledRule, meter: CostMeter | Non
     meter.charge(w, 1)
     if w <= 2 * k:
         return evolve(cells, cr.rule, k)
-    cells = tuple(cells)
-    width = 2 * k + 1
-    mask = (1 << width) - 1
-    out = list(evolve(cells[: 2 * k], cr.rule, k)[:k])
-    code = 0
-    for j in range(2 * k):
-        code = (code << 1) | cells[j]
-    for i in range(k, w - k):
-        code = ((code << 1) | cells[i + k]) & mask
-        out.append(cr.table[code])
-    out.extend(evolve(cells[-2 * k :], cr.rule, k)[k:])
-    return tuple(out)
+    left = evolve(cells[: 2 * k], cr.rule, k)[:k]
+    right = evolve(cells[-2 * k :], cr.rule, k)[k:]
+    return left + _lookups(cells, cr.table, k) + right
 
 
 def compiled_rounds(
-    cells: Sequence[int],
-    rule: int,
-    steps: int,
-    k: int,
-    meter: CostMeter | None = None,
-    max_entries: int = DEFAULT_TABLE_BUDGET,
+    cells: Sequence[int], rule: int, steps: int, k: int, meter: CostMeter | None = None
 ) -> Iterator[tuple[int, ...]]:
     """Yield the tape after each of ceil(steps/k) compiled rounds.
 
@@ -182,29 +180,24 @@ def compiled_rounds(
         raise ValueError("k must be >= 1")
     _check_tape(cells)
     rule_table(rule)
-    _check_table_budget(k, max_entries)
+    _check_table_budget(k)
     meter = meter if meter is not None else CostMeter()
     full, rem = divmod(steps, k)
     cur = tuple(cells)
     if full:
-        cr = compile_steps(rule, k, max_entries)
+        cr = compile_steps(rule, k)
         for _ in range(full):
             cur = step_compiled(cur, cr, meter)
             yield cur
     if rem:
-        yield step_compiled(cur, compile_steps(rule, rem, max_entries), meter)
+        yield step_compiled(cur, compile_steps(rule, rem), meter)
 
 
 def evolve_compiled(
-    cells: Sequence[int],
-    rule: int,
-    steps: int,
-    k: int,
-    meter: CostMeter | None = None,
-    max_entries: int = DEFAULT_TABLE_BUDGET,
+    cells: Sequence[int], rule: int, steps: int, k: int, meter: CostMeter | None = None
 ) -> tuple[int, ...]:
     """Evolve ``steps`` rows in ceil(steps/k) compiled rounds (see ``compiled_rounds``)."""
-    return _last(cells, compiled_rounds(cells, rule, steps, k, meter, max_entries))
+    return _last(cells, compiled_rounds(cells, rule, steps, k, meter))
 
 
 def cell_at(rule: int, initial: Sequence[int], n_rows: int, i: int) -> int:

@@ -182,6 +182,13 @@ def run_suite(cases: list[BenchCase]) -> list[BenchRecord]:
     return [run_case(c) for c in cases]
 
 
+def _check_text(what: str, value) -> None:
+    """A CSV text field must not hold a separator: ``,``, ``;``, ``=`` or a line break."""
+    text = str(value)
+    if any(sep in text for sep in ",;=") or "".join(text.splitlines()) != text:
+        raise ValueError(f"{what} {text!r} holds a CSV separator (',', ';', '=' or a line break)")
+
+
 def _parse_aux_value(s: str) -> int | str:
     """Quoted text is a str; an int only if it reads back to the same text,
     so leading-zero strings like "01234" stay str."""
@@ -198,6 +205,7 @@ def _parse_aux_value(s: str) -> int | str:
 def _format_aux_value(v: int | str) -> str:
     if isinstance(v, bool) or not isinstance(v, (int, str)):
         raise ValueError(f"aux value {v!r} must be an int or a str")
+    _check_text("aux value", v)
     if isinstance(v, str) and _parse_aux_value(v) != v:
         return f'"{v}"'  # protect strings that would read back as ints or lose their quotes
     return str(v)
@@ -206,22 +214,23 @@ def _format_aux_value(v: int | str) -> str:
 def emit_csv(records: list[BenchRecord]) -> str:
     """Fixed-header CSV; aux is a semicolon-joined key=value list.
 
-    An aux value must be an int or a str (not a bool): anything else
-    raises ``ValueError``, so ``parse_csv`` reads back every value emitted.
+    An aux value must be an int or a str (not a bool), and no text field may
+    hold a separator: anything else raises ``ValueError``, so ``parse_csv``
+    reads back every record emitted.
     """
     lines = [CSV_HEADER]
     for r in records:
+        _check_text("family", r.family)
+        _check_text("solver", r.solver)
+        for k in r.aux:
+            _check_text("aux key", k)
         aux = ";".join(f"{k}={_format_aux_value(v)}" for k, v in r.aux.items())
         lines.append(f"{r.family},{r.size},{r.solver},{r.seed},{r.work},{r.depth},{r.wall_ns},{aux}")
     return "\n".join(lines) + "\n"
 
 
 def parse_csv(text: str) -> list[BenchRecord]:
-    """Inverse of ``emit_csv``: every field round-trips exactly, aux ints and strings included.
-
-    Text fields must not hold the separators ``,``, ``;`` and newline (nor
-    ``=`` in an aux key); no runner emits them.
-    """
+    """Inverse of ``emit_csv``: every field round-trips exactly, aux ints and strings included."""
     lines = text.splitlines()
     if not lines or lines[0] != CSV_HEADER:
         raise ValueError(f"bad CSV header: expected {CSV_HEADER!r}")
@@ -299,6 +308,8 @@ def _case_from(entry: dict) -> BenchCase:
     case = BenchCase(entry["family"], entry["size"], entry["solver"], entry.get("seed", 0), dict(params))
     _check_type("size", case.size, int)
     _check_type("seed", case.seed, int)
+    _check_text("family", case.family)
+    _check_text("solver", case.solver)
     if case.family in FAMILY_PARAMS:  # unknown families stay run-time error records
         family_params(case.family, case.params)
     return case
@@ -308,7 +319,8 @@ def load_suite(doc: dict) -> list[BenchCase]:
     """Build cases from a suite JSON document: {"cases": [{family, size, solver, ...}]}.
 
     A case key other than ``CASE_KEYS``, a param its family does not take,
-    or a value of the wrong type raises ``ValueError`` naming the case index.
+    a mistyped value or a CSV separator in the family or solver raises
+    ``ValueError`` naming the case index.
     """
     if "cases" not in doc or not isinstance(doc["cases"], list):
         raise ValueError("suite config needs a 'cases' array")

@@ -1,10 +1,10 @@
 """Boolean circuits with unbounded fan-in AND/OR/NOT/MAJORITY gates.
 
 Gates are stored densely indexed with input gates first.  Evaluation comes
-in two styles — gate-at-a-time in topological order (serial) and
-layer-at-a-time (parallel) — and both charge a CostMeter so the work/depth
-contrast is measurable.  Input and constant gates are free: they sit at
-depth 0 and are never charged as work.
+in two styles — gate-at-a-time (serial) and layer-at-a-time (parallel) —
+that run one layer loop and differ only in the CostMeter rounds charged per
+layer.  Input and constant gates are free: they sit at depth 0 and are
+never charged as work.
 """
 
 from __future__ import annotations
@@ -168,50 +168,46 @@ def check_assignment(bits: Sequence[int], n_inputs: int) -> None:
         raise CircuitError("assignment bits must be 0 or 1")
 
 
-def _seed_values(c: Circuit, bits: Sequence[int]) -> list[int | None]:
+def terminal_values(c: Circuit, bits: Sequence[int]) -> list[int | None]:
+    """Per gate id, the input bit or constant of a terminal and None for a logic gate; checks ``bits``."""
     check_assignment(bits, c.n_inputs)
+    input_, const0, const1 = GateKind.INPUT, GateKind.CONST0, GateKind.CONST1  # enum lookups cost more than the loop
     vals: list[int | None] = [None] * len(c.gates)
     for g in c.gates:
-        if g.kind is GateKind.INPUT:
+        kind = g.kind
+        if kind is input_:
             vals[g.id] = bits[g.id]
-        elif g.kind is GateKind.CONST0:
+        elif kind is const0:
             vals[g.id] = 0
-        elif g.kind is GateKind.CONST1:
+        elif kind is const1:
             vals[g.id] = 1
     return vals
 
 
-def eval_serial(c: Circuit, bits: Sequence[int], meter: CostMeter | None = None) -> tuple[int, ...]:
-    """Evaluate one gate after another in topological order (by depth, then id).
+def _eval_layers(c: Circuit, bits: Sequence[int], meter: CostMeter | None, serial: bool) -> tuple[int, ...]:
+    """Fill gate values layer by layer; a layer of g gates is g work in g rounds if ``serial``, else in 1.
 
-    Charges work = depth = number of logic gates: pure sequential cost.
-    Returns the full value vector, one bit per gate id.
+    Gates within one layer never depend on each other, so their order cannot change any value.
     """
     meter = meter if meter is not None else CostMeter()
-    layers = topo_layers(c)
-    vals = _seed_values(c, bits)
-    for layer in layers:
+    vals = terminal_values(c, bits)
+    gates = c.gates
+    for layer in topo_layers(c):
         for gid in layer:
-            g = c.gates[gid]
+            g = gates[gid]
             vals[gid] = gate_value(g.kind, [vals[i] for i in g.inputs])
-            meter.charge(1, 1)
+        meter.charge(len(layer), len(layer) if serial else 1)
     return tuple(vals)  # type: ignore[arg-type]
+
+
+def eval_serial(c: Circuit, bits: Sequence[int], meter: CostMeter | None = None) -> tuple[int, ...]:
+    """Every gate's value, one gate after another by depth then id: work = depth = logic gate count."""
+    return _eval_layers(c, bits, meter, serial=True)
 
 
 def eval_layered(c: Circuit, bits: Sequence[int], meter: CostMeter | None = None) -> tuple[int, ...]:
-    """Evaluate whole layers at a time: same work as serial, depth = layer count.
-
-    Gates within one layer never depend on each other, so the order inside a
-    layer (or running a layer concurrently) cannot change any value.
-    """
-    meter = meter if meter is not None else CostMeter()
-    vals = _seed_values(c, bits)
-    for layer in topo_layers(c):
-        for gid in layer:
-            g = c.gates[gid]
-            vals[gid] = gate_value(g.kind, [vals[i] for i in g.inputs])
-        meter.charge(len(layer), 1)
-    return tuple(vals)  # type: ignore[arg-type]
+    """Every gate's value, a whole layer at a time: the same work as serial, depth = layer count."""
+    return _eval_layers(c, bits, meter, serial=False)
 
 
 def cvp(c: Circuit, bits: Sequence[int]) -> int:

@@ -145,15 +145,7 @@ def cmd_do1(args) -> int:
     counting = do1.CountingOracle(oracle)
     estimate = do1.extract_depth_of_one(config, counting)
     print(estimate)
-    if estimate == 0:
-        ok = d1 == 0
-        detail = "estimate 0 expects depth-of-one 0"
-    elif eps == 1.0:
-        ok = estimate <= d1 < 2 * estimate
-        detail = f"{estimate} <= {d1} < {2 * estimate}"
-    else:
-        ok = eps * estimate <= d1 <= (2 / eps) * estimate
-        detail = f"{eps * estimate:g} <= {d1} <= {2 * estimate / eps:g}"
+    ok, detail = do1.bracket(estimate, d1, eps)
     status = "ok" if ok else "VIOLATED"
     print(f"bracket {status}: d1={d1} estimate={estimate} probes={counting.calls} ({detail})", file=sys.stderr)
     return EXIT_OK if ok else EXIT_INTERNAL

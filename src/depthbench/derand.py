@@ -21,6 +21,8 @@ Word = tuple[int, ...]
 
 _MASK64 = (1 << 64) - 1
 
+INPUT_BUDGET = 1 << 20  # max inputs, and max decider calls, in one search attempt
+
 
 def _mix(x: int) -> int:
     """splitmix64 finalizer: cheap, well-scrambled 64-bit hash step."""
@@ -35,6 +37,11 @@ def word_parity(word: Word) -> int:
     return sum(word) & 1
 
 
+def _check_p(p: float) -> None:
+    if not 0 <= p < 0.5:
+        raise ValueError(f"error bound p={p} must satisfy 0 <= p < 1/2")
+
+
 class SimulatedDecider:
     """A decider whose error events behave like independent Bernoulli(p) draws.
 
@@ -45,8 +52,7 @@ class SimulatedDecider:
     """
 
     def __init__(self, truth: Callable[[Word], int], p: float):
-        if not 0 <= p < 0.5:
-            raise ValueError(f"error bound p={p} must satisfy 0 <= p < 1/2")
+        _check_p(p)
         self.truth = truth
         self.p = p
         self._threshold = int(p * 2**64)
@@ -122,8 +128,7 @@ def _smallest_odd_k(p: float, target: float, delta: float) -> int:
 
 def hoeffding_k(p: float, delta: float) -> int:
     """Smallest odd k with exp(-2k(1/2-p)^2) <= delta; see ``_smallest_odd_k``."""
-    if not 0 <= p < 0.5:
-        raise ValueError(f"error bound p={p} must satisfy 0 <= p < 1/2")
+    _check_p(p)
     if not 0 < delta < 1:
         raise ValueError(f"target delta={delta} must lie in (0, 1)")
     return _smallest_odd_k(p, -math.log(delta), delta)
@@ -137,8 +142,7 @@ def union_bound_k(n: int, vocab_size: int, delta_all: float, p: float) -> int:
     large input space cannot underflow it.  A decider with p = 0 is never
     wrong, so k = 1 suffices there.
     """
-    if not 0 <= p < 0.5:
-        raise ValueError(f"error bound p={p} must satisfy 0 <= p < 1/2")
+    _check_p(p)
     if not 0 < delta_all < 1:
         raise ValueError(f"delta_all={delta_all} must lie in (0, 1)")
     if p == 0:
@@ -176,13 +180,7 @@ class SeedSearchResult:
 
 
 def find_universal_seeds(
-    decider,
-    n: int,
-    vocab_size: int,
-    delta_all: float,
-    rng_seed: int,
-    max_attempts: int = 32,
-    max_inputs: int = 1 << 20,
+    decider, n: int, vocab_size: int, delta_all: float, rng_seed: int, max_attempts: int = 32
 ) -> SeedSearchResult:
     """Draw random bundles until one is correct on every length-n word.
 
@@ -190,7 +188,7 @@ def find_universal_seeds(
     attempt is verified exhaustively, recording its error count.  An
     attempt makes at most k * vocab^n decider calls: each vote stops once
     one bit has a majority, so usually far fewer.  The budget
-    ``max_inputs`` bounds running time by that worst case: both the input
+    ``INPUT_BUDGET`` bounds running time by that worst case: both the input
     space vocab^n and k * vocab^n must fit it, and a ``CapacityError`` is
     raised before any seed is drawn otherwise (k grows without bound as p
     nears 1/2).  Failure after ``max_attempts`` returns a result with
@@ -201,12 +199,12 @@ def find_universal_seeds(
     if max_attempts < 1:
         raise ValueError("max_attempts must be >= 1")
     n_words = vocab_size**n
-    if n_words > max_inputs:
-        raise CapacityError(f"{vocab_size}^{n} = {n_words} inputs exceeds budget {max_inputs}")
+    if n_words > INPUT_BUDGET:
+        raise CapacityError(f"{vocab_size}^{n} = {n_words} inputs exceeds budget {INPUT_BUDGET}")
     k = union_bound_k(n, vocab_size, delta_all, decider.p)
-    if k * n_words > max_inputs:
+    if k * n_words > INPUT_BUDGET:
         raise CapacityError(
-            f"{k} seeds x {n_words} inputs = {k * n_words} decider calls per attempt exceeds budget {max_inputs}"
+            f"{k} seeds x {n_words} inputs = {k * n_words} decider calls per attempt exceeds budget {INPUT_BUDGET}"
         )
     rng = random.Random(rng_seed)
     errors: list[int] = []

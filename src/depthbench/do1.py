@@ -33,6 +33,7 @@ from .circuits import (
     eval_serial,
     gate_value,
     logic_ids,
+    terminal_values,
     validate,
 )
 
@@ -106,12 +107,6 @@ def depth_of_one(cfg: CircuitConfig) -> int:
     return cfg.analysis.depth_of_one
 
 
-def _terminal_value(gate: Gate, bits: Sequence[int]) -> int:
-    if gate.kind is GateKind.INPUT:
-        return bits[gate.id]
-    return 1 if gate.kind is GateKind.CONST1 else 0
-
-
 def is_depth_zero(cfg: CircuitConfig) -> bool:
     """True iff depth-of-one is 0, decided by scanning only the first layer.
 
@@ -122,12 +117,11 @@ def is_depth_zero(cfg: CircuitConfig) -> bool:
     settles the question without a full evaluation.
     """
     c = cfg.circuit
+    vals = terminal_values(c, cfg.bits)
     for g in c.gates:
-        if g.kind in TERMINALS:
-            continue
-        if all(c.gates[i].kind in TERMINALS for i in g.inputs):
-            in_vals = [_terminal_value(c.gates[i], cfg.bits) for i in g.inputs]
-            if gate_value(g.kind, in_vals):
+        if vals[g.id] is None:  # a logic gate
+            in_vals = [vals[i] for i in g.inputs]
+            if None not in in_vals and gate_value(g.kind, in_vals):
                 return False
     return True
 
@@ -344,6 +338,15 @@ def extract_depth_of_one(cfg: CircuitConfig, value_fn: Callable[[EnvState], floa
     if k_star == m:
         return n
     return 2**k_star
+
+
+def bracket(estimate: int, d1: int, eps: float) -> tuple[bool, str]:
+    """Whether ``estimate`` meets ``extract_depth_of_one``'s bracket (strict at eps = 1) on ``d1``, and the check."""
+    if estimate == 0:
+        return d1 == 0, "estimate 0 expects depth-of-one 0"
+    if eps == 1.0:
+        return estimate <= d1 < 2 * estimate, f"{estimate} <= {d1} < {2 * estimate}"
+    return eps * estimate <= d1 <= (2 / eps) * estimate, f"{eps * estimate:g} <= {d1} <= {2 * estimate / eps:g}"
 
 
 class CountingOracle:

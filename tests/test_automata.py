@@ -89,9 +89,10 @@ def test_compiled_entries_spot_check_k8():
             assert cr.table[code] == naive_evolve(_window(code, 8), rule, 8)[8], (rule, code)
 
 
-def test_capacity_budget():
+def test_capacity_budget(monkeypatch):
+    monkeypatch.setattr(automata, "TABLE_BUDGET", 64)
     with pytest.raises(CapacityError):
-        compile_steps(110, 3, max_entries=64)
+        compile_steps(110, 3)
     with pytest.raises(ValueError):
         compile_steps(110, 0)
 
@@ -138,9 +139,9 @@ def test_evolve_compiled_depth_is_ceil():
 def test_compiled_rounds_build_each_table_once(monkeypatch):
     built = []
 
-    def counting(rule, k, max_entries):
+    def counting(rule, k):
         built.append(k)
-        return compile_steps(rule, k, max_entries)
+        return compile_steps(rule, k)
 
     monkeypatch.setattr(automata, "compile_steps", counting)
     tape = parse_tape("0100110001011")
@@ -169,15 +170,17 @@ def test_zero_rows_still_check_rule_and_tape():
         evolve_compiled((), 110, 0, 2)
 
 
-def test_table_budget_checked_before_any_round():
+def test_table_budget_checked_before_any_round(monkeypatch):
     """The k-row budget holds even when fewer than k rows (or none) are asked for."""
     message = "2^81 = 2417851639229258349412352 table entries exceeds budget 33554432"
     for steps in (0, 3, 50):
         with pytest.raises(CapacityError, match=f"^{re.escape(message)}$"):
             evolve_compiled((1, 0), 110, steps, 40)
+    monkeypatch.setattr(automata, "TABLE_BUDGET", 64)
     with pytest.raises(CapacityError, match="exceeds budget 64"):
-        next(automata.compiled_rounds((1, 0, 1), 110, 2, 3, max_entries=64))
-    assert evolve_compiled((1, 0, 1), 110, 2, 3, max_entries=128) == naive_evolve((1, 0, 1), 110, 2)
+        next(automata.compiled_rounds((1, 0, 1), 110, 2, 3))
+    monkeypatch.setattr(automata, "TABLE_BUDGET", 128)
+    assert evolve_compiled((1, 0, 1), 110, 2, 3) == naive_evolve((1, 0, 1), 110, 2)
 
 
 def test_huge_k_refused_before_building_the_table():
@@ -190,11 +193,14 @@ def test_huge_k_refused_before_building_the_table():
             evolve_compiled((1, 0), 110, 3, k)
 
 
-def test_table_budget_boundaries():
-    assert len(compile_steps(110, 3, max_entries=128).table) == 128
+def test_table_budget_boundaries(monkeypatch):
+    monkeypatch.setattr(automata, "TABLE_BUDGET", 128)
+    assert len(compile_steps(110, 3).table) == 128
     for budget in (127, 0, -1):
+        monkeypatch.setattr(automata, "TABLE_BUDGET", budget)
         with pytest.raises(CapacityError, match=f"^2\\^7 = 128 table entries exceeds budget {budget}$"):
-            compile_steps(110, 3, max_entries=budget)
+            compile_steps(110, 3)
+    monkeypatch.undo()
     # the entry count is written out while it has at most 39 digits (width 128)
     with pytest.raises(CapacityError, match=f"^2\\^127 = {1 << 127} table entries exceeds budget 33554432$"):
         compile_steps(110, 63)
@@ -230,3 +236,20 @@ def test_parse_tape_rejects_junk():
     with pytest.raises(ValueError):
         parse_tape("")
     assert format_tape(parse_tape("0101")) == "0101"
+
+
+def test_cells_other_than_0_1_rejected():
+    """A tape cell outside {0, 1} would index past or alias a table entry; every entry point refuses it."""
+    message = "^tape cells must be 0 or 1$"
+    for bad in ((0, 0, 2), (2, 0, 0), (0, 1, -1), [1, 0, 3, 0]):
+        with pytest.raises(ValueError, match=message):
+            step(bad, 110)
+        with pytest.raises(ValueError, match=message):
+            evolve(bad, 110, 0)
+        with pytest.raises(ValueError, match=message):
+            step_compiled(bad, compile_steps(110, 1))
+    with pytest.raises(ValueError, match=message):
+        evolve_compiled((0, 0, 0, 2, 0, 0, 0, 0), 110, 2, 2)
+    with pytest.raises(ValueError, match=message):
+        cell_at(110, (2,), 1, 0)
+    assert step([True, False, False], 110) == step((1, 0, 0), 110)

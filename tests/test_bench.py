@@ -140,6 +140,15 @@ class TestCsv:
         with pytest.raises(ValueError, match="must be an int or a str"):
             emit_csv([BenchRecord("s5", 1, "tree", 0, 0, 0, 0, {"v": value})])
 
+    @pytest.mark.parametrize("sep", [",", ";", "=", "\n", "\r"])
+    @pytest.mark.parametrize("field", ["family", "solver", "aux key", "aux value"])
+    def test_separator_in_text_field_rejected(self, field, sep):
+        text = f"x{sep}y"
+        family, solver = (text if field == "family" else "s5"), (text if field == "solver" else "tree")
+        aux = {text: 1} if field == "aux key" else {"a": text if field == "aux value" else "b"}
+        with pytest.raises(ValueError, match=f"^{field} .* holds a CSV separator"):
+            emit_csv([BenchRecord(family, 1, solver, 0, 0, 0, 0, aux)])
+
     def test_bad_header_rejected(self):
         with pytest.raises(ValueError, match="header"):
             parse_csv("nope\n")
@@ -205,6 +214,13 @@ class TestSuiteConfig:
         good = {"family": "s5", "size": 8, "solver": "tree"}
         with pytest.raises(ValueError, match=f"^bad suite case #1: .*'{key}'"):
             load_suite({"cases": [good, entry]})
+
+    @pytest.mark.parametrize("sep", [",", ";", "=", "\n"])
+    @pytest.mark.parametrize("key", ["family", "solver"])
+    def test_separator_in_family_or_solver_rejected(self, key, sep):
+        good = {"family": "s5", "size": 8, "solver": "tree"}
+        with pytest.raises(ValueError, match=f"^bad suite case #1: {key} .* holds a CSV separator"):
+            load_suite({"cases": [good, {**good, key: f"tr{sep}ee"}]})
 
     def test_param_types(self):
         derand = {"family": "derand", "size": 4, "solver": "search"}

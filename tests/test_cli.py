@@ -277,6 +277,13 @@ class TestBench:
         assert (code, out) == (2, "")
         assert err.startswith("error: bad suite case #1: ") and f"'{key}'" in err
 
+    def test_separator_in_solver_is_usage_error(self, capsys, tmp_path):
+        cfg = tmp_path / "suite.json"
+        cfg.write_text(json.dumps({"cases": [{"family": "s5", "size": 8, "solver": "tr,ee"}]}))
+        code, out, err = run(capsys, "bench", "--config", str(cfg))
+        assert (code, out) == (2, "")
+        assert err == "error: bad suite case #0: solver 'tr,ee' holds a CSV separator (',', ';', '=' or a line break)\n"
+
     def test_bench_without_cases(self, capsys, tmp_path):
         cfg = tmp_path / "empty.json"
         cfg.write_text("{}")

@@ -7,6 +7,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from depthbench import derand
 from depthbench.derand import (
     CapacityError,
     SeedBundle,
@@ -254,11 +255,13 @@ class TestFindUniversalSeeds:
         with pytest.raises(CapacityError, match=message):
             find_universal_seeds(d, n=2, vocab_size=2, delta_all=0.5, rng_seed=0)
 
-    def test_call_budget_counts_k_times_inputs(self):
+    def test_call_budget_counts_k_times_inputs(self, monkeypatch):
         d = SimulatedDecider(word_parity, 0.3)  # n = 4: k = 45, so 45 * 16 = 720 calls per attempt
+        monkeypatch.setattr(derand, "INPUT_BUDGET", 719)
         with pytest.raises(CapacityError, match="= 720 decider calls per attempt exceeds budget 719$"):
-            find_universal_seeds(d, 4, 2, 0.5, rng_seed=0, max_inputs=719)
-        assert find_universal_seeds(d, 4, 2, 0.5, rng_seed=0, max_inputs=720).k == 45
+            find_universal_seeds(d, 4, 2, 0.5, rng_seed=0)
+        monkeypatch.setattr(derand, "INPUT_BUDGET", 720)
+        assert find_universal_seeds(d, 4, 2, 0.5, rng_seed=0).k == 45
 
     def test_failure_reports_every_attempt(self):
         class LyingDecider:

@@ -32,6 +32,7 @@ from depthbench.do1 import (
     PickChainGate,
     PickCircuitGate,
     SelectGate,
+    bracket,
     depth_of_one,
     env_reset,
     env_step,
@@ -406,6 +407,15 @@ class TestExtraction:
         estimate = extract_depth_of_one(cfg, oracle)
         d1 = depth_of_one(cfg)
         assert eps_choice * estimate <= d1 <= (2 / eps_choice) * estimate
+
+    def test_bracket_checks_and_reports_the_inequality(self):
+        assert bracket(4, 5, 1.0) == (True, "4 <= 5 < 8")
+        assert bracket(4, 8, 1.0) == (False, "4 <= 8 < 8")
+        assert bracket(4, 8, 0.5) == (True, "2 <= 8 <= 16")
+        assert bracket(4, 1, 0.5) == (False, "2 <= 1 <= 16")
+        assert bracket(3, 6, 0.3) == (True, "0.9 <= 6 <= 20")
+        assert bracket(0, 0, 0.5) == (True, "estimate 0 expects depth-of-one 0")
+        assert bracket(0, 2, 1.0) == (False, "estimate 0 expects depth-of-one 0")
 
     def test_noisy_oracle_rejects_bad_epsilon(self):
         with pytest.raises(ValueError):
