@@ -31,6 +31,9 @@ class GateKind(Enum):
     NOT = "not"
     MAJORITY = "maj"
 
+    # Members are singletons compared by identity; Enum's default hashes the name in Python code
+    __hash__ = object.__hash__
+
 
 TERMINALS = frozenset({GateKind.INPUT, GateKind.CONST0, GateKind.CONST1})
 

@@ -208,6 +208,11 @@ def _advance(s: EnvState) -> tuple[EnvState, int, bool]:
     return EnvState(s.config, s.chain_len, Phase.DONE, s.chosen, s.t, s.horizon), reward, True
 
 
+def _commit(s: EnvState, phase: Phase, chosen: frozenset[int]) -> tuple[EnvState, int, bool]:
+    """Step from the forced choice of ``s`` onto ``phase``'s side with ``chosen`` picked; no legality check."""
+    return _advance(EnvState(s.config, s.chain_len, phase, chosen, 1, s.horizon))
+
+
 def env_step(s: EnvState, a: Action) -> tuple[EnvState, int, bool]:
     """Apply one action.
 
@@ -223,14 +228,12 @@ def env_step(s: EnvState, a: Action) -> tuple[EnvState, int, bool]:
         if isinstance(a, PickCircuitGate):
             if a.gate_id not in s.config.logic_gates:
                 return s, 0, False
-            nxt = EnvState(s.config, s.chain_len, Phase.SELECTING_CIRCUIT, frozenset({a.gate_id}), 1, s.horizon)
-        elif isinstance(a, PickChainGate):
+            return _commit(s, Phase.SELECTING_CIRCUIT, frozenset((a.gate_id,)))
+        if isinstance(a, PickChainGate):
             if not 1 <= a.gate_id <= s.chain_len:
                 return s, 0, False
-            nxt = EnvState(s.config, s.chain_len, Phase.SELECTING_CHAIN, frozenset({a.gate_id}), 1, s.horizon)
-        else:
-            return s, 0, False
-        return _advance(nxt)
+            return _commit(s, Phase.SELECTING_CHAIN, frozenset((a.gate_id,)))
+        return s, 0, False
     if isinstance(a, SelectGate):
         if s.phase is Phase.SELECTING_CIRCUIT:
             legal = a.gate_id in s.config.logic_gates
@@ -254,12 +257,16 @@ def optimal_value(s: EnvState) -> int:
     best completion tops up to the deepest hot gate on the committed side,
     always reachable because at least one step remains.
     """
-    if s.phase is Phase.DONE:
+    phase = s.phase
+    if phase is Phase.SELECTING_CIRCUIT:  # every circuit-side probe lands here
+        a = s.config.analysis
+        return a.depth_of_one if a.hot.issuperset(s.chosen) else 0
+    if phase is Phase.DONE:
         return 0
-    if s.phase is Phase.FORCED_CHOICE:
+    if phase is Phase.FORCED_CHOICE:
         return max(s.chain_len, depth_of_one(s.config))
     _, hot, deepest = _side_analysis(s)
-    for g in s.chosen:  # a plain loop: every probe lands here, and a generator costs more than the scan
+    for g in s.chosen:  # chain side: a plain loop costs less than a generator
         if g not in hot:
             return 0
     return deepest
@@ -310,9 +317,10 @@ def extract_depth_of_one(cfg: CircuitConfig, value_fn: Callable[[EnvState], floa
     committing to the chain.  With the largest chain length the circuit
     still matches being 2^(k*), the estimate is 2^(k*) — promoted to the
     full gate count when k* = m, and falling back to 1 when the circuit
-    never matches.  Total probes: (gate count + 1) * (m + 1), each one
-    ``env_step`` from the length's reset state and one ``value_fn`` call,
-    the chain probe first and then the gates in ascending id.
+    never matches.  Total probes: (gate count + 1) * (m + 1), the chain probe
+    first and then the gates in ascending id, each one ``value_fn`` call on the
+    state ``env_step`` reaches from the length's reset state (circuit probes
+    build it with ``env_step``'s helper and skip its dispatch).
 
     With the exact ``optimal_value`` oracle the true depth-of-one d
     satisfies estimate <= d < 2 * estimate; if probes are scaled by noise
@@ -325,12 +333,12 @@ def extract_depth_of_one(cfg: CircuitConfig, value_fn: Callable[[EnvState], floa
     n = len(ids)
     m = (n - 1).bit_length() if n > 1 else 0
     chain_pick = PickChainGate(1)
-    circuit_picks = [PickCircuitGate(gid) for gid in ids]
+    picks = [frozenset((gid,)) for gid in ids]
     k_star: int | None = None
     for ell in range(m + 1):
         base = env_reset(cfg, 2**ell)
         v_chain = value_fn(env_step(base, chain_pick)[0])
-        best = max(value_fn(env_step(base, pick)[0]) for pick in circuit_picks)
+        best = max([value_fn(_commit(base, Phase.SELECTING_CIRCUIT, chosen)[0]) for chosen in picks])
         if best >= v_chain:
             k_star = ell
     if k_star is None:
@@ -362,17 +370,17 @@ class CountingOracle:
 
 
 class NoisyOracle:
-    """Scale each exact value by independent noise drawn uniformly from [eps, 1]."""
+    """Scale each exact value by independent noise in [eps, 1], drawn as ``Random.uniform(eps, 1.0)`` draws it."""
 
     def __init__(self, fn: Callable[[EnvState], float], epsilon: float, seed: int = 0):
         if not 0 < epsilon <= 1:
             raise ValueError(f"epsilon {epsilon} outside (0, 1]")
         self.fn = fn
         self.epsilon = epsilon
-        self._rng = random.Random(seed)
+        self._random = random.Random(seed).random
 
     def __call__(self, s: EnvState) -> float:
-        return self.fn(s) * self._rng.uniform(self.epsilon, 1.0)
+        return self.fn(s) * (self.epsilon + (1.0 - self.epsilon) * self._random())
 
 
 def random_alt_circuit(seed: int, n_inputs: int, n_gates: int, fanin_max: int = 3) -> Circuit:

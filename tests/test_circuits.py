@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from depthbench.circuits import (
+    TERMINALS,
     Circuit,
     CircuitError,
     Gate,
@@ -66,6 +67,16 @@ class TestGateValue:
         assert gate_value(GateKind.MAJORITY, [1, 1, 0]) == 1
         assert gate_value(GateKind.MAJORITY, [1]) == 1
         assert gate_value(GateKind.MAJORITY, [0]) == 0
+
+
+class TestGateKind:
+    def test_hash_is_identity_and_agrees_with_equality(self):
+        kinds = list(GateKind)
+        assert len({hash(k) for k in kinds}) == len(kinds)
+        for k in kinds:
+            assert hash(k) == object.__hash__(k)
+            assert GateKind(k.value) is k and {k: k.value}[GateKind(k.value)] == k.value
+            assert (k in TERMINALS) == (k.value in ("input", "const0", "const1"))
 
 
 class TestLayering:

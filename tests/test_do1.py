@@ -4,6 +4,7 @@ import gc
 import hashlib
 import itertools
 import math
+import random
 import weakref
 
 import pytest
@@ -467,6 +468,96 @@ class TestExtractionPinned:
             (chain, 2, {1}, 1, 3), (circuit, 2, {2}, 1, 3), (circuit, 2, {3}, 1, 3), (circuit, 2, {4}, 1, 3),
             (chain, 4, {1}, 1, 4), (circuit, 4, {2}, 1, 4), (circuit, 4, {3}, 1, 4), (circuit, 4, {4}, 1, 4),
         ]  # fmt: skip
+
+
+def reference_probe_states(cfg):
+    """The states extraction should probe, built by ``env_step`` from each length's reset state."""
+    if is_depth_zero(cfg):
+        return []
+    ids = logic_ids(cfg.circuit)
+    m = (len(ids) - 1).bit_length()
+    states = []
+    for ell in range(m + 1):
+        base = env_reset(cfg, 2**ell)
+        states.append(env_step(base, PickChainGate(1))[0])
+        states.extend(env_step(base, PickCircuitGate(gid))[0] for gid in ids)
+    return states
+
+
+def recording_extraction(cfg):
+    seen = []
+
+    def value_fn(s):
+        seen.append(s)
+        return optimal_value(s)
+
+    return extract_depth_of_one(cfg, value_fn), seen
+
+
+class TestProbeStates:
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n_inputs=st.integers(1, 6), n_gates=st.integers(1, 40))
+    def test_extraction_probes_the_states_env_step_builds(self, seed, n_inputs, n_gates):
+        cfg = random_alt_config(seed, n_inputs, n_gates)
+        _, seen = recording_extraction(cfg)
+        assert seen == reference_probe_states(cfg)
+
+    def test_one_gate_circuit_probes_a_done_state(self):
+        gates = (Gate(0, GateKind.INPUT), Gate(1, GateKind.OR, (0,)))
+        cfg = cfg_from(Circuit(gates, 1, 1), (1,))  # horizon max(1, 1) = 1: the pick ends the episode
+        estimate, seen = recording_extraction(cfg)
+        assert estimate == 1
+        assert seen == reference_probe_states(cfg)
+        assert seen[1] == (cfg, 1, Phase.DONE, frozenset({1}), 1, 1)
+
+
+def scan_value(s):
+    """``optimal_value`` as one scan of the chosen gates against the committed side's hot set."""
+    if s.phase is Phase.DONE:
+        return 0
+    if s.phase is Phase.FORCED_CHOICE:
+        return max(s.chain_len, depth_of_one(s.config))
+    if s.phase is Phase.SELECTING_CHAIN:
+        hot, deepest = range(1, s.chain_len + 1), s.chain_len
+    else:
+        hot, deepest = s.config.analysis.hot, s.config.analysis.depth_of_one
+    for g in s.chosen:
+        if g not in hot:
+            return 0
+    return deepest
+
+
+class TestValueAnswers:
+    def test_optimal_value_matches_the_scan_in_every_phase(self):
+        for seed in range(30):
+            cfg = random_alt_config(seed, n_inputs=1 + seed % 4, n_gates=1 + seed % 12)
+            ids = logic_ids(cfg.circuit)
+            hot = sorted(cfg.analysis.hot)
+            cold = sorted(set(ids) - cfg.analysis.hot)
+            for chain_len in (1, 2, 3, 8):
+                sides = [  # (hot, cold, off-side) ids of the circuit, then of the chain
+                    (hot, cold, [0, cfg.circuit.n_inputs - 1, 10_000]),
+                    (list(range(1, chain_len + 1)), [], [0, chain_len + 1, -1]),
+                ]
+                choices = [frozenset()]
+                for good, bad, off in sides:
+                    choices += [frozenset({g}) for g in good + bad + off]
+                    choices += [frozenset(good), frozenset(good[:2]), frozenset(good[:1] + bad[:1])]
+                    choices += [frozenset(good[:1] + off[:1]), frozenset(bad + off)]
+                for phase in Phase:
+                    for chosen in choices:
+                        s = EnvState(cfg, chain_len, phase, chosen, len(chosen), max(chain_len, len(ids)))
+                        assert optimal_value(s) == scan_value(s), s
+
+    @pytest.mark.parametrize("eps", [0.5, 0.8, 1.0, 1e-9])
+    def test_noisy_oracle_draws_exactly_what_uniform_draws(self, eps):
+        for seed in (0, 7, 2**40 + 3):
+            oracle = NoisyOracle(lambda x: x, eps, seed)
+            rng = random.Random(seed)
+            for i in range(1000):
+                x = (i * 7919) % 13
+                got, want = oracle(x), x * rng.uniform(eps, 1.0)
+                assert got.hex() == want.hex(), (seed, i)
 
 
 class TestStateContract:
