@@ -334,7 +334,7 @@ def load_suite(doc: dict) -> list[BenchCase]:
 
 
 def default_suite() -> list[BenchCase]:
-    """The standard sweep used by the experiment scripts."""
+    """The standard 37-case sweep that ``depthbench bench`` runs when given no suite ``cases``."""
     cases: list[BenchCase] = []
     for size in (16, 32, 64):
         for solver in ("plain", "compiled-k1", "compiled-k2", "compiled-k3"):

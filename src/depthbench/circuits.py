@@ -69,15 +69,19 @@ def logic_ids(c: Circuit) -> tuple[int, ...]:
     return tuple(g.id for g in c.gates if g.kind not in TERMINALS)
 
 
+# gate_value runs once per logic gate; a module global is cheaper to read than a GateKind member
+_AND, _OR, _NOT, _MAJORITY = GateKind.AND, GateKind.OR, GateKind.NOT, GateKind.MAJORITY
+
+
 def gate_value(kind: GateKind, in_vals: Sequence[int]) -> int:
     """Semantics of one logic gate.  MAJORITY is strict: ties go to 0."""
-    if kind is GateKind.AND:
+    if kind is _AND:
         return int(all(in_vals))
-    if kind is GateKind.OR:
+    if kind is _OR:
         return int(any(in_vals))
-    if kind is GateKind.NOT:
+    if kind is _NOT:
         return 1 - in_vals[0]
-    if kind is GateKind.MAJORITY:
+    if kind is _MAJORITY:
         return int(2 * sum(in_vals) > len(in_vals))
     raise CircuitError(f"{kind.value} gate cannot be evaluated")
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 
 from . import automata, bench, derand, do1, s5
 from .circuits import CircuitError, cvp
@@ -177,9 +178,9 @@ def cmd_derand(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    if args.cases is None:
-        raise ValueError("bench needs --config FILE with a 'cases' array")
-    records = bench.run_suite(bench.load_suite({"cases": args.cases}))
+    # no "cases" key at all runs the default sweep; a present but non-array one is refused by load_suite
+    cases = bench.load_suite({"cases": args.cases}) if hasattr(args, "cases") else bench.default_suite()
+    records = bench.run_suite(cases)
     csv_text = bench.emit_csv(records)
     if args.csv == "-":
         print(csv_text, end="")
@@ -193,9 +194,12 @@ def cmd_bench(args) -> int:
         else:
             with open(args.report, "w", encoding="utf-8") as fh:
                 fh.write(text)
-    errors = sum(1 for r in records if "error" in r.aux)
-    print(f"ran {len(records)} cases ({errors} errors)", file=sys.stderr)
-    return EXIT_OK
+    # an error record keeps no params, so name each failed case as a case object load_suite reads back
+    failed = [(idx, case, r.aux["error"]) for idx, (case, r) in enumerate(zip(cases, records)) if "error" in r.aux]
+    for idx, case, slug in failed:
+        print(f"failed case #{idx} ({slug}): {json.dumps(asdict(case))}", file=sys.stderr)
+    print(f"ran {len(records)} cases ({len(failed)} errors)", file=sys.stderr)
+    return EXIT_INTERNAL if failed else EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -204,7 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_config(p, *config_only):
         p.add_argument("--config", help="JSON config; keys mirror flag names")
-        p.set_defaults(subparser=p, config_only=config_only, **dict.fromkeys(config_only))
+        p.set_defaults(subparser=p, config_only=config_only)
 
     p_ca = sub.add_parser("ca", help="evolve an elementary cellular automaton")
     p_ca.add_argument("rule", type=int, help="rule number 0..255")
@@ -252,7 +256,9 @@ def build_parser() -> argparse.ArgumentParser:
     add_config(p_der)
     p_der.set_defaults(func=cmd_derand)
 
-    p_bench = sub.add_parser("bench", help="run a benchmark suite from a JSON config")
+    p_bench = sub.add_parser(
+        "bench", help="run the default sweep, or the cases of a --config suite; exit 1 if a case fails"
+    )
     p_bench.add_argument("--csv", default="-", help="CSV output path, or - for stdout")
     p_bench.add_argument("--report", help="text report path, or - for stdout")
     add_config(p_bench, "cases")

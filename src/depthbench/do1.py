@@ -115,6 +115,11 @@ def is_depth_zero(cfg: CircuitConfig) -> bool:
     gates never mix terminal and gate feeds; see ``random_alt_circuit``)
     has a hot gate feed — so checking the gates fed entirely by terminals
     settles the question without a full evaluation.
+
+    That OR precondition is a property of ``random_alt_circuit``'s output
+    only: ``validate_alternating`` accepts an OR that mixes a hot terminal
+    feed with gate feeds, and on such a circuit this can wrongly return
+    True (ROADMAP item 1).
     """
     c = cfg.circuit
     vals = terminal_values(c, cfg.bits)

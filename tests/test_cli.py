@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: output, stderr meters, exit codes, config merge."""
 
+import hashlib
 import itertools
 import json
 
@@ -11,7 +12,16 @@ from depthbench.cli import main
 from oracles import naive_evolve
 from test_bench import BAD_CASES
 
+# sha256 of the default sweep's CSV without wall_ns: the meter columns the sweep reports
+SWEEP_DIGEST = "514787fb6b6a25b46656795d59d0af8c3959c173d766e2084d2f9cdbee7e23d2"
+
 CHAIN5 = "const 0 1\nor 1 0\nand 2 1\nor 3 2\nand 4 3\nor 5 4\noutput 5\n"
+
+
+def strip_wall(csv_text: str) -> str:
+    """The CSV without its wall_ns column, the only one that varies between reruns."""
+    rows = [line.split(",") for line in csv_text.splitlines()]
+    return "\n".join(",".join(row[:6] + row[7:]) for row in rows)
 
 
 def run(capsys, *argv):
@@ -287,8 +297,65 @@ class TestBench:
     def test_bench_without_cases(self, capsys, tmp_path):
         cfg = tmp_path / "empty.json"
         cfg.write_text("{}")
-        code, _, err = run(capsys, "bench", "--config", str(cfg))
-        assert code == 2
+        code, out, err = run(capsys, "bench", "--config", str(cfg))
+        assert code == 0
+        assert len(bench.parse_csv(out)) == len(bench.default_suite()) == 37
+        assert err.endswith("ran 37 cases (0 errors)\n")
+
+    def test_no_config_runs_default_sweep(self, capsys):
+        code, out, err = run(capsys, "bench")
+        expected = bench.emit_csv(bench.run_suite(bench.default_suite()))
+        assert code == 0
+        assert len(bench.parse_csv(out)) == 37
+        assert strip_wall(out) == strip_wall(expected)
+        assert hashlib.sha256(strip_wall(out).encode()).hexdigest() == SWEEP_DIGEST
+        assert err.endswith("ran 37 cases (0 errors)\n")
+
+    def test_default_sweep_to_csv_and_report_files(self, capsys, tmp_path):
+        csv_path, report_path = tmp_path / "bench.csv", tmp_path / "bench_report.txt"
+        code, out, err = run(capsys, "bench", "--csv", str(csv_path), "--report", str(report_path))
+        assert (code, out) == (0, "")
+        assert csv_path.read_text().startswith("family,size,solver,seed,work,depth,wall_ns,aux\n")
+        assert "== family ca ==" in report_path.read_text()
+        assert "(0 errors)" in err
+
+    @pytest.mark.parametrize("cases", [None, 5, {}])
+    def test_cases_that_are_not_an_array(self, capsys, tmp_path, cases):
+        cfg = tmp_path / "suite.json"
+        cfg.write_text(json.dumps({"cases": cases}))
+        code, out, err = run(capsys, "bench", "--config", str(cfg))
+        assert (code, out, err) == (2, "", "error: suite config needs a 'cases' array\n")
+
+    def test_error_records_exit_1_and_name_each_case(self, capsys, tmp_path):
+        suite = {
+            "cases": [
+                {"family": "cvp", "size": 8, "solver": "bogus", "params": {"n_inputs": 3}},
+                {"family": "ca", "size": 8, "solver": "compiled-k30"},
+            ]
+        }
+        cfg = tmp_path / "suite.json"
+        cfg.write_text(json.dumps(suite))
+        code, out, err = run(capsys, "bench", "--config", str(cfg))
+        records = bench.parse_csv(out)
+        assert code == 1
+        assert [(r.family, r.solver) for r in records] == [("cvp", "bogus"), ("ca", "compiled-k30")]
+        assert all("error" in r.aux for r in records)
+        *failed, summary = err.splitlines()
+        assert (len(failed), summary) == (2, "ran 2 cases (2 errors)")
+        assert '"n_inputs": 3' in failed[0]
+        for idx, (line, record) in enumerate(zip(failed, records)):
+            assert line.startswith(f"failed case #{idx} ({record.aux['error']}): ")
+            case_json = line.split(": ", 1)[1]
+            assert bench.load_suite({"cases": [json.loads(case_json)]}) == [bench.load_suite(suite)[idx]]
+
+    def test_files_written_before_failing(self, capsys, tmp_path):
+        cfg = tmp_path / "suite.json"
+        cfg.write_text(json.dumps({"cases": [{"family": "s5", "size": 8, "solver": "bogus"}]}))
+        csv_path, report_path = tmp_path / "out.csv", tmp_path / "report.txt"
+        code, out, _ = run(capsys, "bench", "--config", str(cfg), "--csv", str(csv_path), "--report", str(report_path))
+        assert (code, out) == (1, "")
+        assert bench.parse_csv(csv_path.read_text())[0].aux["error"].startswith("BenchError")
+        assert "ERROR" in report_path.read_text()
 
 
 class TestConfigMerge:
