@@ -49,18 +49,21 @@ class Gate:
 class Circuit:
     """A gate list (dense ids, inputs first), input count, and one output id.
 
-    ``depths`` is computed on first use and kept on the instance; it is not
-    a field, so equality and hashing still see only the gates, the input
-    count and the output.
+    Building one runs ``validate``, so every ``Circuit`` is well formed.
+    ``depths`` is computed then and kept on the instance; it is not a field,
+    so equality and hashing still see only the gates, inputs and output.
     """
 
     gates: tuple[Gate, ...]
     n_inputs: int
     output: int
 
+    def __post_init__(self):
+        validate(self)
+
     @cached_property
     def depths(self) -> tuple[int, ...]:
-        """``gate_depths`` of this circuit; raises CircuitError on every access if cyclic."""
+        """``gate_depths`` of this circuit, computed once."""
         return tuple(gate_depths(self))
 
 
@@ -87,7 +90,7 @@ def gate_value(kind: GateKind, in_vals: Sequence[int]) -> int:
 
 
 def validate(c: Circuit) -> None:
-    """Raise CircuitError unless ``c`` satisfies every structural invariant."""
+    """Raise CircuitError unless ``c`` satisfies every structural invariant; ``Circuit`` runs it when built."""
     n = len(c.gates)
     if n == 0:
         raise CircuitError("circuit has no gates")
@@ -120,7 +123,7 @@ def gate_depths(c: Circuit) -> list[int]:
     """Longest-path depth per gate: terminals 0, logic gates 1 + max over inputs.
 
     Iterative DFS so kilogate chains do not hit the recursion limit; a gray
-    revisit reports the cycle edge.
+    revisit reports the cycle edge.  ``validate`` range-checks ids first.
     """
     n = len(c.gates)
     depth: list[int] = [0] * n
@@ -134,8 +137,6 @@ def gate_depths(c: Circuit) -> list[int]:
             gid, pending = stack[-1]
             advanced = False
             for iid in pending:
-                if not 0 <= iid < n:
-                    raise CircuitError(f"gate {gid} references missing gate {iid}")
                 if state[iid] == 1:
                     raise CircuitError(f"cycle detected via edge {gid} -> {iid}")
                 if state[iid] == 0:
@@ -231,7 +232,7 @@ def random_circuit(
 ) -> Circuit:
     """Random DAG circuit: each gate draws distinct inputs among earlier ids.
 
-    Deterministic in ``seed``; the result always satisfies ``validate``.
+    Deterministic in ``seed``; ``Circuit`` checks the result with ``validate`` when it is built.
     """
     if n_inputs < 1 or n_gates < 1 or fanin_max < 1:
         raise ValueError("n_inputs, n_gates and fanin_max must all be >= 1")

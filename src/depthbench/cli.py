@@ -11,7 +11,9 @@ that is not a flag of the subcommand is a usage error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import os
 import sys
 from dataclasses import asdict
 
@@ -180,20 +182,18 @@ def cmd_derand(args) -> int:
 def cmd_bench(args) -> int:
     # no "cases" key at all runs the default sweep; a present but non-array one is refused by load_suite
     cases = bench.load_suite({"cases": args.cases}) if hasattr(args, "cases") else bench.default_suite()
-    records = bench.run_suite(cases)
-    csv_text = bench.emit_csv(records)
-    if args.csv == "-":
-        print(csv_text, end="")
-    else:
-        with open(args.csv, "w", encoding="utf-8") as fh:
-            fh.write(csv_text)
-    if args.report is not None:
-        text = bench.emit_report(records)
-        if args.report == "-":
-            print(text)
-        else:
-            with open(args.report, "w", encoding="utf-8") as fh:
-                fh.write(text)
+    if args.csv != "-" and args.report is not None and os.path.realpath(args.csv) == os.path.realpath(args.report):
+        raise ValueError(f"--csv and --report name the same file {args.csv!r}")
+    with contextlib.ExitStack() as stack:
+        # open both outputs before the sweep, so an unwritable path exits 2 before any case runs
+        def output(path):
+            return sys.stdout if path == "-" else stack.enter_context(open(path, "w", encoding="utf-8"))
+
+        csv_out, report_out = output(args.csv), None if args.report is None else output(args.report)
+        records = bench.run_suite(cases)
+        csv_out.write(bench.emit_csv(records))
+        if report_out is not None:
+            report_out.write(bench.emit_report(records) + ("\n" if args.report == "-" else ""))
     # an error record keeps no params, so name each failed case as a case object load_suite reads back
     failed = [(idx, case, r.aux["error"]) for idx, (case, r) in enumerate(zip(cases, records)) if "error" in r.aux]
     for idx, case, slug in failed:

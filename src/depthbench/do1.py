@@ -34,7 +34,6 @@ from .circuits import (
     gate_value,
     logic_ids,
     terminal_values,
-    validate,
 )
 
 
@@ -47,8 +46,7 @@ class AlternationError(CircuitError):
 
 
 def validate_alternating(c: Circuit) -> None:
-    """Check ``c`` is a valid circuit of AND/OR gates with no same-kind edge."""
-    validate(c)
+    """Check that ``c``, valid since it was built, has only AND/OR logic gates and no same-kind edge."""
     bad_kinds = [g.id for g in c.gates if g.kind not in TERMINALS and g.kind not in (GateKind.AND, GateKind.OR)]
     if bad_kinds:
         raise AlternationError(f"only and/or logic gates allowed, got other kinds at gates {bad_kinds}")
@@ -396,7 +394,9 @@ def random_alt_circuit(seed: int, n_inputs: int, n_gates: int, fanin_max: int = 
     into a deep, otherwise-cold OR would make that OR hot without any
     first-layer gate being hot, defeating ``is_depth_zero``'s scan; AND
     gates are immune because a hot AND forces every feed hot, including
-    the gate feed that gives it its depth.
+    the gate feed that gives it its depth.  Like every ``Circuit``, the
+    result is checked by ``validate`` when built, and it always satisfies
+    ``validate_alternating``.
     """
     if n_inputs < 1 or n_gates < 1 or fanin_max < 1:
         raise ValueError("n_inputs, n_gates and fanin_max must all be >= 1")

@@ -13,7 +13,7 @@ re-formatting reproduces the exact same bytes.
 
 from __future__ import annotations
 
-from .circuits import Circuit, CircuitError, Gate, GateKind, check_assignment, validate
+from .circuits import Circuit, CircuitError, Gate, GateKind, check_assignment
 
 _KIND_TOKENS = {
     "and": GateKind.AND,
@@ -83,12 +83,10 @@ def parse_netlist(text: str) -> Circuit:
             raise NetlistError(f"unknown gate kind {head!r}", lineno)
     if output is None:
         raise NetlistError("missing output line")
-    circuit = Circuit(tuple(gates), n_inputs, output)
     try:
-        validate(circuit)
+        return Circuit(tuple(gates), n_inputs, output)
     except CircuitError as exc:
         raise NetlistError(str(exc)) from exc
-    return circuit
 
 
 def format_netlist(c: Circuit) -> str:

@@ -49,7 +49,7 @@ def fold_serial(word: Sequence[Perm], meter: CostMeter | None = None) -> Perm:
     acc = word[0]
     for p in word[1:]:
         acc = compose(acc, p)
-        meter.charge(1, 1)
+    meter.charge(len(word) - 1, len(word) - 1)
     return acc
 
 

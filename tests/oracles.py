@@ -14,6 +14,36 @@ from depthbench.circuits import TERMINALS, Circuit, Gate, GateKind
 from depthbench.do1 import EnvState, Phase, PASS, PickChainGate, PickCircuitGate, SelectGate, env_step
 
 
+def is_well_formed(gates, n_inputs: int, output: int) -> bool:
+    """Whether ``Circuit(gates, n_inputs, output)`` should be accepted, decided rule by rule.
+
+    Acyclicity is checked by peeling: repeatedly drop every gate whose
+    inputs have all been dropped, and accept only if nothing is left.
+    """
+    n = len(gates)
+    if n == 0 or output not in range(n) or n_inputs not in range(n + 1):
+        return False
+    if [g.id for g in gates] != list(range(n)):
+        return False
+    if [g.kind is GateKind.INPUT for g in gates] != [True] * n_inputs + [False] * (n - n_inputs):
+        return False
+    for g in gates:
+        if g.kind in (GateKind.INPUT, GateKind.CONST0, GateKind.CONST1):
+            arity_ok = len(g.inputs) == 0
+        elif g.kind is GateKind.NOT:
+            arity_ok = len(g.inputs) == 1
+        else:
+            arity_ok = len(g.inputs) >= 1
+        if not arity_ok or any(i not in range(n) for i in g.inputs):
+            return False
+    left = set(range(n))
+    while True:
+        ready = {gid for gid in left if not left.intersection(gates[gid].inputs)}
+        if not ready:
+            return not left
+        left -= ready
+
+
 def recursive_eval(circuit: Circuit, bits) -> tuple[int, ...]:
     """Memoized top-down evaluation, one gate at a time on demand."""
     memo: dict[int, int] = {}

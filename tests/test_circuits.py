@@ -22,8 +22,10 @@ from depthbench.circuits import (
     validate,
 )
 from depthbench.meters import CostMeter
+from depthbench.netlist import format_netlist, parse_netlist
 
-from oracles import brute_longest_path, memo_depths, random_monotone_circuit, recursive_eval
+from oracles import brute_longest_path, is_well_formed, memo_depths, random_monotone_circuit, recursive_eval
+from strategies import gate_lists
 
 
 def chain3():
@@ -128,12 +130,8 @@ class TestLayering:
             Gate(1, GateKind.AND, (0, 2)),
             Gate(2, GateKind.OR, (1,)),
         )
-        c = Circuit(gates, 1, 2)
         with pytest.raises(CircuitError, match="cycle detected via edge"):
-            topo_layers(c)
-        for _ in range(2):  # a failed computation is not cached
-            with pytest.raises(CircuitError, match="cycle detected via edge"):
-                c.depths
+            Circuit(gates, 1, 2)
 
     def test_depths_are_not_a_field(self):
         c, twin = random_circuit(5, 3, 20), random_circuit(5, 3, 20)
@@ -148,29 +146,81 @@ class TestValidate:
             validate(random_circuit(seed, 1 + seed % 4, 1 + seed % 12))
 
     def test_dense_ids_enforced(self):
-        c = Circuit((Gate(0, GateKind.INPUT), Gate(2, GateKind.NOT, (0,))), 1, 1)
         with pytest.raises(CircuitError, match="dense"):
-            validate(c)
+            Circuit((Gate(0, GateKind.INPUT), Gate(2, GateKind.NOT, (0,))), 1, 1)
 
     def test_inputs_must_lead(self):
-        c = Circuit((Gate(0, GateKind.CONST1), Gate(1, GateKind.INPUT)), 0, 1)
         with pytest.raises(CircuitError):
-            validate(c)
+            Circuit((Gate(0, GateKind.CONST1), Gate(1, GateKind.INPUT)), 0, 1)
 
     def test_not_arity(self):
-        c = Circuit((Gate(0, GateKind.INPUT), Gate(1, GateKind.NOT, (0, 0))), 1, 1)
         with pytest.raises(CircuitError, match="exactly one input"):
-            validate(c)
+            Circuit((Gate(0, GateKind.INPUT), Gate(1, GateKind.NOT, (0, 0))), 1, 1)
 
     def test_missing_reference(self):
-        c = Circuit((Gate(0, GateKind.INPUT), Gate(1, GateKind.AND, (0, 9))), 1, 1)
         with pytest.raises(CircuitError, match="missing gate"):
-            validate(c)
+            Circuit((Gate(0, GateKind.INPUT), Gate(1, GateKind.AND, (0, 9))), 1, 1)
 
     def test_empty_fanin_rejected(self):
-        c = Circuit((Gate(0, GateKind.INPUT), Gate(1, GateKind.AND, ())), 1, 1)
         with pytest.raises(CircuitError, match="at least one input"):
-            validate(c)
+            Circuit((Gate(0, GateKind.INPUT), Gate(1, GateKind.AND, ())), 1, 1)
+
+
+# malformed circuits an evaluator would answer silently or crash on if they could be built
+MALFORMED = {
+    "not-with-two-inputs": (
+        ((Gate(0, GateKind.INPUT), Gate(1, GateKind.NOT, (0, 0))), 1, 1),
+        "not gate 1 needs exactly one input, got 2",
+    ),
+    "const1-with-an-input": (
+        ((Gate(0, GateKind.INPUT), Gate(1, GateKind.CONST1, (0,))), 1, 1),
+        "const1 gate 1 must have no inputs",
+    ),
+    "n_inputs-past-the-input-block": (
+        ((Gate(0, GateKind.INPUT), Gate(1, GateKind.NOT, (0,))), 2, 1),
+        "ids 0..1 must be INPUT gates, id 1 is not",
+    ),
+    "and-with-no-inputs": (
+        ((Gate(0, GateKind.INPUT), Gate(1, GateKind.AND, ())), 1, 1),
+        "and gate 1 needs at least one input",
+    ),
+    "stray-input": (
+        ((Gate(0, GateKind.INPUT), Gate(1, GateKind.NOT, (0,)), Gate(2, GateKind.INPUT)), 1, 1),
+        "INPUT gate 2 outside the leading input block",
+    ),
+    "non-dense-id": (
+        ((Gate(0, GateKind.INPUT), Gate(2, GateKind.NOT, (0,))), 1, 1),
+        "gate ids must be dense: position 1 holds id 2",
+    ),
+    "output-past-the-end": (
+        ((Gate(0, GateKind.INPUT), Gate(1, GateKind.NOT, (0,))), 1, 2),
+        "output id 2 out of range 0..1",
+    ),
+}
+
+
+class TestConstruction:
+    @pytest.mark.parametrize("name", MALFORMED)
+    def test_malformed_circuit_refused_when_built(self, name):
+        args, message = MALFORMED[name]
+        with pytest.raises(CircuitError) as info:
+            Circuit(*args)
+        assert str(info.value) == message
+
+    @settings(max_examples=200, deadline=None)
+    @given(parts=gate_lists())
+    def test_built_iff_well_formed_then_evaluators_agree(self, parts):
+        gates, n_inputs, output = parts
+        if not is_well_formed(gates, n_inputs, output):
+            with pytest.raises(CircuitError):
+                Circuit(gates, n_inputs, output)
+            return
+        c = Circuit(gates, n_inputs, output)
+        for bits in itertools.product((0, 1), repeat=n_inputs):
+            assert eval_serial(c, bits) == eval_layered(c, bits) == recursive_eval(c, bits)
+        assert c.depths == tuple(memo_depths(c))
+        text = format_netlist(c)
+        assert parse_netlist(text) == c and format_netlist(parse_netlist(text)) == text
 
 
 class TestEval:

@@ -357,6 +357,25 @@ class TestBench:
         assert bench.parse_csv(csv_path.read_text())[0].aux["error"].startswith("BenchError")
         assert "ERROR" in report_path.read_text()
 
+    @pytest.mark.parametrize("flags", [("--csv", "nodir/x.csv"), ("--report", "nodir/r.txt")])
+    def test_unwritable_output_refused_before_any_case_runs(self, capsys, monkeypatch, tmp_path, flags):
+        def not_called(cases):
+            raise AssertionError("run_suite ran before the output files were opened")
+
+        monkeypatch.setattr(bench, "run_suite", not_called)
+        flag, path = flags
+        code, out, err = run(capsys, "bench", flag, str(tmp_path / path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: [Errno 2] No such file or directory") and "nodir" in err
+
+    def test_csv_and_report_on_one_file_refused(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.setattr(bench, "run_suite", lambda cases: pytest.fail("run_suite ran"))
+        out_path = tmp_path / "out.txt"
+        code, out, err = run(capsys, "bench", "--csv", str(out_path), "--report", str(tmp_path / "." / "out.txt"))
+        assert (code, out) == (2, "")
+        assert err == f"error: --csv and --report name the same file {str(out_path)!r}\n"
+        assert not out_path.exists()
+
 
 class TestConfigMerge:
     def test_config_supplies_defaults(self, capsys, tmp_path):
