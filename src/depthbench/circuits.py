@@ -122,17 +122,28 @@ def validate(c: Circuit) -> None:
 def gate_depths(c: Circuit) -> list[int]:
     """Longest-path depth per gate: terminals 0, logic gates 1 + max over inputs.
 
-    Iterative DFS so kilogate chains do not hit the recursion limit; a gray
-    revisit reports the cycle edge.  ``validate`` range-checks ids first.
+    One forward pass over the ids: a gate whose feeds all have smaller ids
+    gets 1 + max of their depths directly.  Only a gate with a forward
+    reference starts an iterative DFS, so kilogate chains do not hit the
+    recursion limit; a gray revisit reports the cycle edge.  ``validate``
+    range-checks ids first.
     """
-    n = len(c.gates)
-    depth: list[int] = [0] * n
-    state = [0] * n  # 0 unvisited, 1 on stack, 2 finished
-    for start in range(n):
+    gates = c.gates
+    depth: list[int] = [0] * len(gates)
+    state = [0] * len(gates)  # 0 unvisited, 1 on stack, 2 finished; every id below the pass is finished
+    depth_of = depth.__getitem__
+    for start, g in enumerate(gates):
         if state[start] == 2:
             continue
+        if g.kind in TERMINALS:
+            state[start] = 2
+            continue
+        if max(g.inputs) < start:
+            depth[start] = 1 + max(map(depth_of, g.inputs))
+            state[start] = 2
+            continue
         state[start] = 1
-        stack = [(start, iter(c.gates[start].inputs))]
+        stack = [(start, iter(g.inputs))]
         while stack:
             gid, pending = stack[-1]
             advanced = False
@@ -141,14 +152,13 @@ def gate_depths(c: Circuit) -> list[int]:
                     raise CircuitError(f"cycle detected via edge {gid} -> {iid}")
                 if state[iid] == 0:
                     state[iid] = 1
-                    stack.append((iid, iter(c.gates[iid].inputs)))
+                    stack.append((iid, iter(gates[iid].inputs)))
                     advanced = True
                     break
             if advanced:
                 continue
-            g = c.gates[gid]
-            if g.kind not in TERMINALS:
-                depth[gid] = 1 + max(depth[i] for i in g.inputs)
+            if gates[gid].kind not in TERMINALS:
+                depth[gid] = 1 + max(depth[i] for i in gates[gid].inputs)
             state[gid] = 2
             stack.pop()
     return depth

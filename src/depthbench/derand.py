@@ -9,6 +9,7 @@ correct on *all* inputs at once, which exhaustive verification then checks.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -22,6 +23,10 @@ Word = tuple[int, ...]
 _MASK64 = (1 << 64) - 1
 
 INPUT_BUDGET = 1 << 20  # max inputs, and max decider calls, in one search attempt
+
+# seed hashes one SimulatedDecider keeps: a bundle of up to this many seeds is hashed
+# once, not once per word; k passes it only where vocab^n <= INPUT_BUDGET / 4096 = 256
+SEED_HASHES = 4096
 
 
 def _mix(x: int) -> int:
@@ -49,6 +54,11 @@ class SimulatedDecider:
     (word, seed) lands below p * 2^64, so the error rate over a uniform
     64-bit seed is p (up to rounding of the threshold) and is independent
     across distinct (word, seed) pairs for hashing purposes.
+
+    ``truth`` must be a pure function of the word: the decider keeps the
+    last word asked with its hash and its truth, since a vote asks one word
+    of every seed in turn, and the hashes of at most ``SEED_HASHES`` seeds,
+    since every word of an attempt is asked of the same bundle.
     """
 
     def __init__(self, truth: Callable[[Word], int], p: float):
@@ -56,17 +66,18 @@ class SimulatedDecider:
         self.truth = truth
         self.p = p
         self._threshold = int(p * 2**64)
-        # the last word asked and its hash: a vote asks one word of every seed in turn
         self._word: Word | None = None
         self._word_hash = 0
+        self._word_truth = 0
+        self._seed_hash = functools.lru_cache(maxsize=SEED_HASHES)(_mix)
 
     def decide(self, word: Word, seed: int) -> int:
         if word != self._word:
             h = 0x8BADF00D
             for tok in word:
                 h = _mix(h ^ (tok + 1))
-            self._word, self._word_hash = tuple(word), h
-        return self.truth(word) ^ (_mix(self._word_hash ^ _mix(seed & _MASK64)) < self._threshold)
+            self._word, self._word_hash, self._word_truth = tuple(word), h, self.truth(word)
+        return self._word_truth ^ (_mix(self._word_hash ^ self._seed_hash(seed & _MASK64)) < self._threshold)
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,6 @@ from depthbench.circuits import (
     logic_ids,
     random_circuit,
     topo_layers,
-    validate,
 )
 from depthbench.meters import CostMeter
 from depthbench.netlist import format_netlist, parse_netlist
@@ -124,6 +123,14 @@ class TestLayering:
             assert depths[g.id] == brute_longest_path(c, g.id)
         assert c.depths == tuple(memo_depths(c))
 
+    def test_long_forward_reference_chain(self):
+        # gate i reads gate i + 1, so the DFS finds every depth; depth is the chain length below it
+        n = 5_000
+        gates = (Gate(0, GateKind.INPUT),) + tuple(Gate(i, GateKind.NOT, (i + 1,)) for i in range(1, n - 1))
+        c = Circuit(gates + (Gate(n - 1, GateKind.NOT, (0,)),), 1, 1)
+        assert c.depths == (0,) + tuple(range(n - 1, 0, -1))
+        assert gate_depths(c) == list(c.depths)
+
     def test_cycle_reported_with_edge(self):
         gates = (
             Gate(0, GateKind.INPUT),
@@ -143,7 +150,7 @@ class TestLayering:
 class TestValidate:
     def test_random_circuits_always_validate(self):
         for seed in range(10_000):
-            validate(random_circuit(seed, 1 + seed % 4, 1 + seed % 12))
+            random_circuit(seed, 1 + seed % 4, 1 + seed % 12)  # building a Circuit runs validate
 
     def test_dense_ids_enforced(self):
         with pytest.raises(CircuitError, match="dense"):

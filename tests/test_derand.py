@@ -1,5 +1,6 @@
 """Majority-vote replication counts, simulated deciders, universal-seed search."""
 
+import collections
 import hashlib
 import math
 import random
@@ -120,12 +121,59 @@ class TestSimulatedDecider:
             SimulatedDecider(word_parity, 0.5)
 
     def test_holds_at_most_one_word(self):
+        # state is one word with its hash and truth, plus at most SEED_HASHES seed hashes:
+        # nothing grows with the number of inputs a search checks
         d = SimulatedDecider(word_parity, 0.1)
         assert find_universal_seeds(d, 10, 2, 0.5, rng_seed=0).success  # asks all 2^10 words
+        caches = []
         for name, value in vars(d).items():
+            if hasattr(value, "cache_info"):
+                caches.append(value.cache_info())
+                continue
             assert not isinstance(value, (dict, list, set, frozenset)), name
             if isinstance(value, tuple):
                 assert len(value) == 10 and all(isinstance(tok, int) for tok in value), name
+        assert len(caches) == 1
+        assert caches[0].maxsize == derand.SEED_HASHES
+        assert 0 < caches[0].currsize <= derand.SEED_HASHES
+
+    def test_truth_asked_once_per_vote(self):
+        asked = collections.Counter()
+
+        def truth(word):
+            asked[word] += 1
+            return word_parity(word)
+
+        d = SimulatedDecider(truth, 0.3)
+        result = find_universal_seeds(d, 4, 2, 0.99, rng_seed=16)
+        assert result.success and result.attempts == 3
+        # once when the vote first asks the word, once in count_bundle_errors
+        assert set(asked) == set(all_words(4, 2))
+        assert max(asked.values()) <= 2 * result.attempts
+
+    def test_bundle_past_the_seed_cache(self):
+        # p = 0.49, n = 1: k = 6933 seeds, more than the cache holds, over two words
+        decisions = []
+
+        class Recording:
+            p = 0.49
+            truth = staticmethod(word_parity)
+
+            def __init__(self):
+                self.inner = SimulatedDecider(word_parity, 0.49)
+
+            def decide(self, word, seed):
+                bit = self.inner.decide(word, seed)
+                decisions.append((word, seed, bit))
+                return bit
+
+        d = Recording()
+        result = find_universal_seeds(d, 1, 2, 0.5, rng_seed=0, max_attempts=2)
+        assert result.k == 6933 > derand.SEED_HASHES
+        assert len({seed for _, seed, _ in decisions}) > derand.SEED_HASHES
+        assert all(SimulatedDecider(word_parity, 0.49).decide(w, s) == bit for w, s, bit in decisions)
+        info = d.inner._seed_hash.cache_info()
+        assert info.currsize == info.maxsize == derand.SEED_HASHES
 
     def test_word_given_as_a_list(self):
         d = SimulatedDecider(word_parity, 0.3)
