@@ -72,7 +72,7 @@ class SimulatedDecider:
         self._seed_hash = functools.lru_cache(maxsize=SEED_HASHES)(_mix)
 
     def decide(self, word: Word, seed: int) -> int:
-        if word != self._word:
+        if word != self._word and tuple(word) != self._word:  # a list never equals the kept tuple
             h = 0x8BADF00D
             for tok in word:
                 h = _mix(h ^ (tok + 1))

@@ -1,16 +1,18 @@
-"""Hypothesis strategies that build circuit inputs structurally.
+"""Hypothesis strategies that build the package's inputs structurally.
 
 The properties over these strategies must see inputs the package's own
-generators never produce, so nothing here imports ``random_circuit`` or
-any other generator: circuits are assembled gate by gate from drawn kinds,
-arities and ids, the way a hand-written netlist or API caller would.
+generators never produce, so nothing here imports ``random_circuit``,
+``random_alt_circuit`` or any other generator: circuits are assembled gate
+by gate from drawn kinds, arities and ids, the way a hand-written netlist
+or API caller would, and CA runs draw their rule and tape directly.
 """
 
 from __future__ import annotations
 
 from hypothesis import strategies as st
 
-from depthbench.circuits import Gate, GateKind
+from depthbench.circuits import Circuit, Gate, GateKind
+from depthbench.do1 import CircuitConfig
 
 LOGIC_KINDS = (GateKind.AND, GateKind.OR, GateKind.NOT, GateKind.MAJORITY)
 CONST_KINDS = (GateKind.CONST0, GateKind.CONST1)
@@ -70,3 +72,45 @@ def gate_lists(draw):
     elif corruption == "output":
         output = draw(st.integers(-2, n + 2))
     return tuple(gates), n_inputs, output
+
+
+@st.composite
+def alt_configs(draw):
+    """A ``CircuitConfig`` over an alternating circuit with at most 5 logic gates.
+
+    Only AND/OR logic gates, and none reads a gate of its own kind.  Each
+    logic gate reads 1 to 3 feeds, repeats allowed, from the terminals and
+    the opposite-kind gates before it in a drawn topological order, so an OR
+    may mix terminal and gate feeds, ids hold forward references, consts
+    sit anywhere after the inputs, and the output and bits are arbitrary.
+    """
+    n_inputs = draw(st.integers(0, 3))
+    n_consts = draw(st.integers(0 if n_inputs else 1, 2))  # at least one terminal to read
+    n_logic = draw(st.integers(1, 5))
+    n = n_inputs + n_consts + n_logic
+    placed = draw(st.permutations(range(n_inputs, n)))  # consts first, then logic gates in topological order
+    gates = {gid: Gate(gid, GateKind.INPUT) for gid in range(n_inputs)}
+    for gid in placed[:n_consts]:
+        gates[gid] = Gate(gid, draw(st.sampled_from(CONST_KINDS)))
+    terminals = sorted(gates)
+    by_kind = {GateKind.AND: [], GateKind.OR: []}
+    for gid in placed[n_consts:]:
+        kind = draw(st.sampled_from((GateKind.AND, GateKind.OR)))
+        opposite = GateKind.OR if kind is GateKind.AND else GateKind.AND
+        feeds = draw(st.lists(st.sampled_from(terminals + by_kind[opposite]), min_size=1, max_size=3))
+        gates[gid] = Gate(gid, kind, tuple(feeds))
+        by_kind[kind].append(gid)
+    circuit = Circuit(tuple(gates[gid] for gid in range(n)), n_inputs, draw(st.integers(0, n - 1)))
+    return CircuitConfig(circuit, tuple(draw(st.lists(st.integers(0, 1), min_size=n_inputs, max_size=n_inputs))))
+
+
+@st.composite
+def ca_runs(draw):
+    """``(rule, tape, k, rows)``: any rule, a 0/1 tape of width 1-14, k 1-4 and 0-10 rows.
+
+    Narrow tapes (width at most 2k, all border) and row counts that are not
+    a multiple of k (a remainder round) are common.
+    """
+    rule = draw(st.integers(0, 255))
+    tape = tuple(draw(st.lists(st.integers(0, 1), min_size=1, max_size=14)))
+    return rule, tape, draw(st.integers(1, 4)), draw(st.integers(0, 10))

@@ -1,5 +1,6 @@
 """Cellular automaton stepping, k-row compilation, and the cell decision view."""
 
+import math
 import random
 import re
 
@@ -22,6 +23,7 @@ from depthbench.automata import (
 from depthbench.meters import CostMeter
 
 from oracles import naive_evolve
+from strategies import ca_runs
 
 
 def test_rule_110_known_row():
@@ -120,6 +122,21 @@ def test_step_compiled_equals_k_plain_steps():
 def test_compiled_equivalence_property(rule, k, tape):
     cr = compile_steps(rule, k)
     assert step_compiled(tuple(tape), cr) == evolve(tuple(tape), rule, k)
+
+
+@settings(max_examples=300, deadline=None)
+@given(run=ca_runs())
+def test_plain_and_compiled_runs_match_the_oracle(run):
+    rule, tape, k, rows = run
+    w, rounds = len(tape), math.ceil(rows / k)
+    m = CostMeter()
+    assert evolve(tape, rule, rows, m) == naive_evolve(tape, rule, rows)
+    assert (m.work, m.depth) == (w * rows, rows)
+    m = CostMeter()
+    assert evolve_compiled(tape, rule, rows, k, m) == naive_evolve(tape, rule, rows)
+    assert (m.work, m.depth) == (w * rounds, rounds)
+    ends = [min(j * k, rows) for j in range(1, rounds + 1)]
+    assert list(automata.compiled_rounds(tape, rule, rows, k)) == [naive_evolve(tape, rule, r) for r in ends]
 
 
 def test_evolve_compiled_depth_is_ceil():

@@ -176,12 +176,19 @@ class TestSimulatedDecider:
         assert info.currsize == info.maxsize == derand.SEED_HASHES
 
     def test_word_given_as_a_list(self):
-        d = SimulatedDecider(word_parity, 0.3)
+        asked = []
+
+        def truth(word):
+            asked.append(tuple(word))
+            return word_parity(word)
+
+        d = SimulatedDecider(truth, 0.3)
         word = [0, 1, 1]
         first = [d.decide(word, s) for s in range(20)]
         word[0] = 1  # the same list, now another word
         assert [d.decide(word, s) for s in range(20)] == [d.decide((1, 1, 1), s) for s in range(20)]
         assert first == [SimulatedDecider(word_parity, 0.3).decide((0, 1, 1), s) for s in range(20)]
+        assert asked == [(0, 1, 1), (1, 1, 1)]  # once per word, not once per decision
 
 
 class ScriptedDecider:

@@ -8,7 +8,7 @@ import random
 import weakref
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from depthbench import circuits
 from depthbench.circuits import (
@@ -46,8 +46,10 @@ from depthbench.do1 import (
     rollout,
     validate_alternating,
 )
+from depthbench.netlist import parse_netlist
 
 from oracles import brute_force_value, legal_actions, memo_depths, recursive_eval
+from strategies import alt_configs
 
 
 def cfg_from(circuit, bits):
@@ -610,6 +612,38 @@ class TestEnvExhaustive:
                 brute = brute_force_value(root)
                 policy_reward = rollout(cfg, chain_len, oracle_policy)
                 assert policy_reward == brute == max(depth_of_one(cfg), chain_len)
+
+
+# an OR fed by a hot input and a cold AND: the only hot gate has depth 2
+ITEM1_CONFIG = CircuitConfig(
+    parse_netlist("input 0\ninput 1\nand 2 0\nor 3 2 1\noutput 3\n"), (0, 1)
+)
+
+
+class TestStructural:
+    """Guarantees over alternating circuits built gate by gate, not by ``random_alt_circuit``."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(cfg=alt_configs(), chain_len=st.integers(1, 4))
+    def test_depth_value_and_policy_match_the_oracles(self, cfg, chain_len):
+        d1 = depth_of_one(cfg)
+        assert d1 == reference_d1(cfg)
+        root = env_reset(cfg, chain_len)
+        assert optimal_value(root) == brute_force_value(root) == max(d1, chain_len)
+        assert rollout(cfg, chain_len, oracle_policy) == max(d1, chain_len)
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP item 1: is_depth_zero misses a hot OR that mixes terminal and gate feeds",
+    )
+    @settings(max_examples=150, deadline=None)
+    @example(cfg=ITEM1_CONFIG)
+    @given(cfg=alt_configs())
+    def test_first_layer_scan_and_exact_bracket(self, cfg):
+        d1 = depth_of_one(cfg)
+        assert is_depth_zero(cfg) == (d1 == 0)
+        ok, check = bracket(extract_depth_of_one(cfg, optimal_value), d1, 1.0)
+        assert ok, check
 
 
 def test_random_alt_config_deterministic():
