@@ -8,8 +8,8 @@ the rule with the (k-1)-row table in O(2^(2k+1)) lookups.  Cells outside the
 tape read as 0 on every row.  A cell at least k from either end depends
 only on its width-(2k+1) light cone of real cells, so one lookup
 reproduces k plain steps exactly; the k cells nearest each end instead
-come from direct evolution of a short border patch, because a
-position-independent window table cannot express the pinned-zero edge.
+come from one direct evolution of the two end strips side by side, because
+a position-independent window table cannot express the pinned-zero edge.
 Plain and compiled rows share one window lookup: a plain row reads the rule
 table over the tape padded with a 0 at each end, a compiled row the k-row one.
 """
@@ -145,10 +145,10 @@ def step_compiled(cells: Sequence[int], cr: CompiledRule, meter: CostMeter | Non
     Interior cells (at least k from either end) read their (2k+1)-cell
     window straight off the tape and the table yields the center k rows
     down.  Border cells see the pinned-zero edge, which no window entry
-    can encode, so each k-cell border is taken from a direct k-step
-    evolution of the adjacent 2k-cell patch: the patch shares the real
-    edge on one side, and corruption from its artificial far side travels
-    only one cell per row, leaving the k border outputs exact.
+    can encode, so both k-cell borders come from one direct k-step
+    evolution of the two 2k-cell end strips side by side (copies, so they
+    may overlap): each keeps its real edge, and the junction's error
+    travels one cell per row, reaching neither end's k outputs in k rows.
     """
     _check_tape(cells)
     meter = meter if meter is not None else CostMeter()
@@ -157,9 +157,8 @@ def step_compiled(cells: Sequence[int], cr: CompiledRule, meter: CostMeter | Non
     meter.charge(w, 1)
     if w <= 2 * k:
         return evolve(cells, cr.rule, k)
-    left = evolve(cells[: 2 * k], cr.rule, k)[:k]
-    right = evolve(cells[-2 * k :], cr.rule, k)[k:]
-    return left + _lookups(cells, cr.table, k) + right
+    ends = evolve((*cells[: 2 * k], *cells[-2 * k :]), cr.rule, k)
+    return ends[:k] + _lookups(cells, cr.table, k) + ends[-k:]
 
 
 def compiled_rounds(

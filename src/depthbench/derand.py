@@ -9,7 +9,6 @@ correct on *all* inputs at once, which exhaustive verification then checks.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import random
@@ -58,7 +57,8 @@ class SimulatedDecider:
     ``truth`` must be a pure function of the word: the decider keeps the
     last word asked with its hash and its truth, since a vote asks one word
     of every seed in turn, and the hashes of at most ``SEED_HASHES`` seeds,
-    since every word of an attempt is asked of the same bundle.
+    since every word of an attempt is asked of the same bundle; a larger
+    bundle empties them when full, so a seed past the bound costs one hash.
     """
 
     def __init__(self, truth: Callable[[Word], int], p: float):
@@ -69,7 +69,7 @@ class SimulatedDecider:
         self._word: Word | None = None
         self._word_hash = 0
         self._word_truth = 0
-        self._seed_hash = functools.lru_cache(maxsize=SEED_HASHES)(_mix)
+        self._seed_hashes: dict[int, int] = {}
 
     def decide(self, word: Word, seed: int) -> int:
         if word != self._word and tuple(word) != self._word:  # a list never equals the kept tuple
@@ -77,7 +77,12 @@ class SimulatedDecider:
             for tok in word:
                 h = _mix(h ^ (tok + 1))
             self._word, self._word_hash, self._word_truth = tuple(word), h, self.truth(word)
-        return self._word_truth ^ (_mix(self._word_hash ^ self._seed_hash(seed & _MASK64)) < self._threshold)
+        seed_hash = self._seed_hashes.get(seed)
+        if seed_hash is None:
+            if len(self._seed_hashes) == SEED_HASHES:  # a bundle past the bound starts over
+                self._seed_hashes.clear()
+            seed_hash = self._seed_hashes[seed] = _mix(seed & _MASK64)
+        return self._word_truth ^ (_mix(self._word_hash ^ seed_hash) < self._threshold)
 
 
 @dataclass(frozen=True)

@@ -111,6 +111,19 @@ def naive_evolve(cells, rule: int, steps: int) -> tuple[int, ...]:
     return tuple(row)
 
 
+def word_product(word) -> tuple[int, ...]:
+    """The product word[0] o word[1] o ... of permutations, read left to right.
+
+    ``image[i]`` is where the letters read so far send point i when the
+    last of them is applied first; reading one more letter sends i through
+    that letter, then through the old images.  No tuple composition.
+    """
+    image = {i: i for i in range(5)}
+    for letter in word:
+        image = {i: image[letter[i]] for i in image}
+    return tuple(image[i] for i in range(5))
+
+
 def perm_parity_by_inversions(p) -> int:
     """Parity as inversion count mod 2 (library uses cycle decomposition)."""
     return sum(1 for i in range(5) for j in range(i + 1, 5) if p[i] > p[j]) % 2

@@ -2,12 +2,15 @@
 
 The properties over these strategies must see inputs the package's own
 generators never produce, so nothing here imports ``random_circuit``,
-``random_alt_circuit`` or any other generator: circuits are assembled gate
-by gate from drawn kinds, arities and ids, the way a hand-written netlist
-or API caller would, and CA runs draw their rule and tape directly.
+``random_alt_circuit``, ``random_word`` or any other generator: circuits are
+assembled gate by gate from drawn kinds, arities and ids, the way a
+hand-written netlist or API caller would, CA runs draw their rule and tape
+directly, and S5 words draw their letters from ``itertools.permutations``.
 """
 
 from __future__ import annotations
+
+import itertools
 
 from hypothesis import strategies as st
 
@@ -16,6 +19,7 @@ from depthbench.do1 import CircuitConfig
 
 LOGIC_KINDS = (GateKind.AND, GateKind.OR, GateKind.NOT, GateKind.MAJORITY)
 CONST_KINDS = (GateKind.CONST0, GateKind.CONST1)
+PERMS = tuple(itertools.permutations(range(5)))
 
 # each corruption may or may not break the circuit; the oracle decides which
 CORRUPTIONS = ("id", "kind", "arity", "out_of_range", "extra_edge", "n_inputs", "output")
@@ -114,3 +118,22 @@ def ca_runs(draw):
     rule = draw(st.integers(0, 255))
     tape = tuple(draw(st.lists(st.integers(0, 1), min_size=1, max_size=14)))
     return rule, tape, draw(st.integers(1, 4)), draw(st.integers(0, 10))
+
+
+@st.composite
+def s5_words(draw):
+    """A list of 1-300 permutations of 5 points, drawn over one of three alphabets.
+
+    Letters come from all 120 permutations, from the identity alone (the
+    product is the identity however long the word), or from 1-3 drawn
+    letters, so long runs of one repeated letter are common.
+    """
+    n = draw(st.integers(1, 300))
+    alphabet = draw(st.sampled_from(("all", "identity", "few")))
+    if alphabet == "identity":
+        letters = PERMS[:1]
+    elif alphabet == "few":
+        letters = draw(st.lists(st.sampled_from(PERMS), min_size=1, max_size=3))
+    else:
+        letters = PERMS
+    return draw(st.lists(st.sampled_from(letters), min_size=n, max_size=n))

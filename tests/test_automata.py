@@ -1,5 +1,6 @@
 """Cellular automaton stepping, k-row compilation, and the cell decision view."""
 
+import collections
 import math
 import random
 import re
@@ -106,11 +107,34 @@ def test_k_below_one_rejected(k):
 
 
 def test_step_compiled_equals_k_plain_steps():
-    tape = parse_tape("01001110001011010011")
-    for rule in (30, 90, 110, 184, 254):
-        for k in (1, 2, 3):
+    # every width to 4k+1: all border (w <= 2k), end strips that overlap (w < 4k), touch (4k) or not
+    rng = random.Random(16)
+    for k in (1, 2, 3, 4):
+        tapes = [tuple(rng.getrandbits(1) for _ in range(w)) for w in range(1, 4 * k + 2)]
+        tapes.append(parse_tape("01001110001011010011"))
+        for rule in range(256):  # odd rules turn 000 into 1
             cr = compile_steps(rule, k)
-            assert step_compiled(tape, cr) == naive_evolve(tape, rule, k)
+            for tape in tapes:
+                assert step_compiled(tape, cr) == naive_evolve(tape, rule, k), (rule, k, tape)
+
+
+def test_compiled_round_evolves_its_borders_once(monkeypatch):
+    calls = collections.Counter()
+
+    def counting(name):
+        inner = getattr(automata, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("evolve", "step"):
+        monkeypatch.setattr(automata, name, counting(name))
+    k, tape = 3, [0, 1, 1, 0, 1, 0, 0, 1, 1, 1, 0, 1, 0]  # wider than 2k, and a list
+    assert step_compiled(tape, compile_steps(110, k)) == naive_evolve(tape, 110, k)
+    assert calls == {"evolve": 1, "step": k}
 
 
 @settings(max_examples=120, deadline=None)

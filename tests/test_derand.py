@@ -2,6 +2,7 @@
 
 import collections
 import hashlib
+import itertools
 import math
 import random
 
@@ -127,15 +128,14 @@ class TestSimulatedDecider:
         assert find_universal_seeds(d, 10, 2, 0.5, rng_seed=0).success  # asks all 2^10 words
         caches = []
         for name, value in vars(d).items():
-            if hasattr(value, "cache_info"):
-                caches.append(value.cache_info())
+            if isinstance(value, dict):
+                caches.append(value)
                 continue
-            assert not isinstance(value, (dict, list, set, frozenset)), name
+            assert not isinstance(value, (list, set, frozenset)), name
             if isinstance(value, tuple):
                 assert len(value) == 10 and all(isinstance(tok, int) for tok in value), name
         assert len(caches) == 1
-        assert caches[0].maxsize == derand.SEED_HASHES
-        assert 0 < caches[0].currsize <= derand.SEED_HASHES
+        assert 0 < len(caches[0]) <= derand.SEED_HASHES
 
     def test_truth_asked_once_per_vote(self):
         asked = collections.Counter()
@@ -172,8 +172,9 @@ class TestSimulatedDecider:
         assert result.k == 6933 > derand.SEED_HASHES
         assert len({seed for _, seed, _ in decisions}) > derand.SEED_HASHES
         assert all(SimulatedDecider(word_parity, 0.49).decide(w, s) == bit for w, s, bit in decisions)
-        info = d.inner._seed_hash.cache_info()
-        assert info.currsize == info.maxsize == derand.SEED_HASHES
+        caches = [value for value in vars(d.inner).values() if isinstance(value, dict)]
+        assert len(caches) == 1
+        assert 0 < len(caches[0]) <= derand.SEED_HASHES
 
     def test_word_given_as_a_list(self):
         asked = []
@@ -240,6 +241,52 @@ class TestMajorityVote:
         bound = math.exp(-2 * k * (0.5 - p) ** 2)
         sigma = math.sqrt(bound * (1 - bound) / trials)
         assert wrong / trials <= bound + 3 * sigma
+
+
+class TableDecider:
+    """Votes and truths drawn once per (word, seed) and per word; a word may come as a list or a tuple."""
+
+    def __init__(self, rng, n, vocab, seeds):
+        words = list(itertools.product(range(vocab), repeat=n))
+        self.votes = {(w, s): rng.getrandbits(1) for w in words for s in seeds}
+        self.truths = {w: rng.getrandbits(1) for w in words}
+
+    def decide(self, word, seed):
+        return self.votes[tuple(word), seed]
+
+    def truth(self, word):
+        return self.truths[tuple(word)]
+
+
+def full_count_errors(decider, seeds, n, vocab):
+    """Words whose vote over every seed, asked as a list, disagrees with the truth."""
+    bad = 0
+    for w in itertools.product(range(vocab), repeat=n):
+        ones = sum(decider.decide(list(w), s) for s in seeds)
+        bad += int(2 * ones > len(seeds)) != decider.truth(list(w))
+    return bad
+
+
+class TestCountBundleErrors:
+    @pytest.mark.parametrize("vocab", [2, 3])
+    def test_scripted_deciders_match_a_full_count(self, vocab):
+        rng = random.Random(vocab)
+        for n in (1, 2, 3):
+            for k in (1, 3, 5, 7):
+                for _ in range(20):
+                    seeds = tuple(rng.getrandbits(3) for _ in range(k))  # repeats are common
+                    d = TableDecider(rng, n, vocab, seeds)
+                    assert count_bundle_errors(d, SeedBundle(seeds), n, vocab) == full_count_errors(d, seeds, n, vocab)
+
+    @pytest.mark.parametrize("vocab", [2, 3])
+    def test_simulated_decider_past_its_seed_bound(self, vocab, monkeypatch):
+        # seeds equal mod 2^64 hash alike; a repeated seed votes twice
+        seeds = (-1, 2**64 - 1, 5, 2**70 + 5, 12345, 7, 7)
+        expected = {p: full_count_errors(SimulatedDecider(word_parity, p), seeds, 4, vocab) for p in (0.2, 0.45)}
+        assert expected[0.45] > 0
+        monkeypatch.setattr(derand, "SEED_HASHES", 3)  # the seed hashes are emptied within every vote
+        for p, bad in expected.items():
+            assert count_bundle_errors(SimulatedDecider(word_parity, p), SeedBundle(seeds), 4, vocab) == bad
 
 
 class TestUnionBoundK:

@@ -23,7 +23,8 @@ from depthbench.s5 import (
     random_word,
 )
 
-from oracles import perm_parity_by_inversions
+from oracles import perm_parity_by_inversions, word_product
+from strategies import s5_words
 
 perms = st.sampled_from(all_perms())
 
@@ -95,6 +96,15 @@ class TestFolds:
             assert mt.work == n - 1
             assert mt.depth == math.ceil(math.log2(n))
 
+    @settings(max_examples=150, deadline=None)
+    @given(word=s5_words())
+    def test_folds_and_meters_match_the_oracle(self, word):
+        n = len(word)
+        ms, mt = CostMeter(), CostMeter()
+        assert fold_serial(word, ms) == fold_tree(word, mt) == word_product(word)
+        assert (ms.work, ms.depth) == (n - 1, n - 1)
+        assert (mt.work, mt.depth) == (n - 1, math.ceil(math.log2(n)))
+
     def test_serial_fold_order_matters_example(self):
         # non-commutative: two orders of the same letters differ
         a, b = (1, 0, 2, 3, 4), (0, 2, 1, 3, 4)
@@ -129,6 +139,11 @@ class TestWireFormat:
         word = random_word(8, 12)
         text = "".join(f" {format_perm(p)}\n\n" for p in word)  # blank lines and padding are skipped
         assert parse_words(text) == word
+
+    @settings(max_examples=80, deadline=None)
+    @given(word=s5_words())
+    def test_drawn_words_round_trip(self, word):
+        assert parse_words("\n".join(format_perm(p) for p in word)) == word
 
     def test_empty_word_file_rejected(self):
         with pytest.raises(ValueError):
