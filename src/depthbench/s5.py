@@ -114,12 +114,35 @@ def derived_series() -> list[int]:
         current = nxt
 
 
+# (pool size m, m.bit_length()) for each draw of Random.sample(range(5), 5)
+_SAMPLE_DRAWS = ((5, 3), (4, 3), (3, 2), (2, 2), (1, 1))
+
+
 def random_word(seed: int, n: int) -> list[Perm]:
-    """n uniform random permutations, deterministic in ``seed``."""
+    """n uniform random permutations, deterministic in ``seed``.
+
+    Letter i is ``tuple(rng.sample(range(5), 5))`` for the i-th call on
+    ``rng = random.Random(seed)``: the loop makes exactly the ``getrandbits``
+    draws that ``sample`` makes for a population of 5 (rejection below m for
+    m = 5..1, then swap-remove from a 5-slot pool), without its argument
+    checks.  The m = 1 draw picks nothing but is kept, since ``sample`` makes
+    it too.  ``tests/test_s5.py`` pins the equality against ``sample``.
+    """
     if n < 1:
         raise ValueError("word length must be >= 1")
-    rng = random.Random(seed)
-    return [tuple(rng.sample(range(5), 5)) for _ in range(n)]  # type: ignore[misc]
+    getrandbits = random.Random(seed).getrandbits
+    word: list[Perm] = []
+    for _ in range(n):
+        pool = [0, 1, 2, 3, 4]
+        letter = []
+        for m, width in _SAMPLE_DRAWS:
+            r = getrandbits(width)
+            while r >= m:
+                r = getrandbits(width)
+            letter.append(pool[r])
+            pool[r] = pool[m - 1]
+        word.append(tuple(letter))  # type: ignore[arg-type]
+    return word
 
 
 def format_perm(p: Perm) -> str:

@@ -146,6 +146,11 @@ class TestS5:
         code, out, _ = run(capsys, "s5", "--words", str(path))
         assert (code, out) == (0, "01234\n")
 
+    def test_readme_example(self, capsys):
+        # README's s5 example, byte for byte
+        code, out, err = run(capsys, "s5", "--n", "6", "--seed", "42", "--fold", "tree")
+        assert (code, out, err) == (0, "21034\n", "meter: work=5 depth=3\n")
+
     def test_output_is_valid_perm(self, capsys):
         _, out, _ = run(capsys, "s5", "--n", "30", "--seed", "9")
         s5.parse_perm(out.strip())

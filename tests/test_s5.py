@@ -1,6 +1,7 @@
 """Permutation composition, serial/tree folds, derived series, wire format."""
 
 import math
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,6 +11,7 @@ from depthbench.s5 import (
     GROUP_ORDER,
     IDENTITY,
     all_perms,
+    check_perm,
     commutator_subgroup,
     compose,
     derived_series,
@@ -153,6 +155,29 @@ class TestWireFormat:
 def test_random_word_deterministic():
     assert random_word(5, 20) == random_word(5, 20)
     assert random_word(5, 20) != random_word(6, 20)
+
+
+def sampled_word(seed, n):
+    """The word ``random_word`` must draw: one Random.sample per letter."""
+    rng = random.Random(seed)
+    return [tuple(rng.sample(range(5), 5)) for _ in range(n)]
+
+
+class TestRandomWordMatchesSample:
+    """random_word copies Random.sample's draws; a Python whose sample draws
+    differently fails here by name, not only through the sweep digest."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 42, -1, -(2**40), 2**64, 2**64 + 1, 3**50])
+    @pytest.mark.parametrize("n", [1, 2, 3, 64, 1000])
+    def test_fixed_seeds(self, seed, n):
+        word = random_word(seed, n)
+        assert word == sampled_word(seed, n)
+        assert all(check_perm(p) == p for p in word)
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(-(2**70), 2**70), n=st.sampled_from([1, 2, 3, 64]))
+    def test_drawn_seeds(self, seed, n):
+        assert random_word(seed, n) == sampled_word(seed, n)
 
 
 def test_memorization_figure():
