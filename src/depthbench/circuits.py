@@ -72,8 +72,8 @@ def logic_ids(c: Circuit) -> tuple[int, ...]:
     return tuple(g.id for g in c.gates if g.kind not in TERMINALS)
 
 
-# gate_value runs once per logic gate; a module global is cheaper to read than a GateKind member
-_AND, _OR, _NOT, _MAJORITY = GateKind.AND, GateKind.OR, GateKind.NOT, GateKind.MAJORITY
+# module globals are cheaper to read than GateKind members in the per-gate loops below
+_INPUT, _AND, _OR, _NOT, _MAJORITY = GateKind.INPUT, GateKind.AND, GateKind.OR, GateKind.NOT, GateKind.MAJORITY
 
 
 def gate_value(kind: GateKind, in_vals: Sequence[int]) -> int:
@@ -90,7 +90,13 @@ def gate_value(kind: GateKind, in_vals: Sequence[int]) -> int:
 
 
 def validate(c: Circuit) -> None:
-    """Raise CircuitError unless ``c`` satisfies every structural invariant; ``Circuit`` runs it when built."""
+    """Raise CircuitError unless ``c`` satisfies every structural invariant; ``Circuit`` runs it when built.
+
+    The three header checks run here; the per-gate checks and the cycle
+    check run in ``gate_depths``, reached through ``c.depths``.  The first
+    fault wins in this order: no gates, output range, ``n_inputs`` range,
+    then gate by gate id, input block, arity and references, then a cycle.
+    """
     n = len(c.gates)
     if n == 0:
         raise CircuitError("circuit has no gates")
@@ -98,69 +104,73 @@ def validate(c: Circuit) -> None:
         raise CircuitError(f"output id {c.output} out of range 0..{n - 1}")
     if not 0 <= c.n_inputs <= n:
         raise CircuitError(f"n_inputs {c.n_inputs} out of range")
-    for pos, g in enumerate(c.gates):
-        if g.id != pos:
-            raise CircuitError(f"gate ids must be dense: position {pos} holds id {g.id}")
-        if pos < c.n_inputs and g.kind is not GateKind.INPUT:
-            raise CircuitError(f"ids 0..{c.n_inputs - 1} must be INPUT gates, id {pos} is {g.kind.value}")
-        if pos >= c.n_inputs and g.kind is GateKind.INPUT:
-            raise CircuitError(f"INPUT gate {pos} outside the leading input block")
-        if g.kind in TERMINALS:
-            if g.inputs:
-                raise CircuitError(f"{g.kind.value} gate {g.id} must have no inputs")
-        elif g.kind is GateKind.NOT:
-            if len(g.inputs) != 1:
-                raise CircuitError(f"not gate {g.id} needs exactly one input, got {len(g.inputs)}")
-        elif not g.inputs:
-            raise CircuitError(f"{g.kind.value} gate {g.id} needs at least one input")
-        for iid in g.inputs:
-            if not 0 <= iid < n:
-                raise CircuitError(f"gate {g.id} references missing gate {iid}")
-    c.depths  # raises on cycles
+    c.depths  # the per-gate checks, then cycles
 
 
 def gate_depths(c: Circuit) -> list[int]:
     """Longest-path depth per gate: terminals 0, logic gates 1 + max over inputs.
 
-    One forward pass over the ids: a gate whose feeds all have smaller ids
-    gets 1 + max of their depths directly.  Only a gate with a forward
-    reference starts an iterative DFS, so kilogate chains do not hit the
-    recursion limit; a gray revisit reports the cycle edge.  ``validate``
-    range-checks ids first.
+    One pass over the gates runs the per-gate checks of ``validate`` in id
+    order and gives every gate whose feeds all have smaller, already known
+    depths 1 + max of them.  A gate with a forward reference, or one that
+    reads such a gate, waits until every gate has been checked; then an
+    iterative DFS from each waiting gate in id order finds the rest, so
+    kilogate chains do not hit the recursion limit, and a gray revisit
+    reports the cycle edge.
     """
-    gates = c.gates
-    depth: list[int] = [0] * len(gates)
-    state = [0] * len(gates)  # 0 unvisited, 1 on stack, 2 finished; every id below the pass is finished
+    gates, n_inputs = c.gates, c.n_inputs
+    n = len(gates)
+    depth = [0] * n  # n marks a waiting gate: a known depth is at most n - 1
     depth_of = depth.__getitem__
-    for start, g in enumerate(gates):
-        if state[start] == 2:
+    waiting = []
+    for pos, g in enumerate(gates):
+        kind, ins = g.kind, g.inputs
+        if g.id != pos:
+            raise CircuitError(f"gate ids must be dense: position {pos} holds id {g.id}")
+        if (pos < n_inputs) != (kind is _INPUT):
+            if pos < n_inputs:
+                raise CircuitError(f"ids 0..{n_inputs - 1} must be INPUT gates, id {pos} is {kind.value}")
+            raise CircuitError(f"INPUT gate {pos} outside the leading input block")
+        if kind in TERMINALS:
+            if ins:
+                raise CircuitError(f"{kind.value} gate {pos} must have no inputs")
             continue
-        if g.kind in TERMINALS:
-            state[start] = 2
-            continue
-        if max(g.inputs) < start:
-            depth[start] = 1 + max(map(depth_of, g.inputs))
-            state[start] = 2
-            continue
-        state[start] = 1
-        stack = [(start, iter(g.inputs))]
-        while stack:
-            gid, pending = stack[-1]
-            advanced = False
-            for iid in pending:
-                if state[iid] == 1:
-                    raise CircuitError(f"cycle detected via edge {gid} -> {iid}")
-                if state[iid] == 0:
-                    state[iid] = 1
-                    stack.append((iid, iter(gates[iid].inputs)))
-                    advanced = True
-                    break
-            if advanced:
+        if kind is _NOT:
+            if len(ins) != 1:
+                raise CircuitError(f"not gate {pos} needs exactly one input, got {len(ins)}")
+        elif not ins:
+            raise CircuitError(f"{kind.value} gate {pos} needs at least one input")
+        top = max(ins)
+        if min(ins) < 0 or top >= n:
+            raise CircuitError(f"gate {pos} references missing gate {next(i for i in ins if not 0 <= i < n)}")
+        if top < pos and (d := 1 + max(map(depth_of, ins))) < n:
+            depth[pos] = d
+        else:
+            depth[pos] = n
+            waiting.append(pos)
+    if waiting:
+        state = [2 if d < n else 0 for d in depth]  # 0 unvisited, 1 on stack, 2 finished
+        for start in waiting:
+            if state[start] == 2:
                 continue
-            if gates[gid].kind not in TERMINALS:
-                depth[gid] = 1 + max(depth[i] for i in gates[gid].inputs)
-            state[gid] = 2
-            stack.pop()
+            state[start] = 1
+            stack = [(start, iter(gates[start].inputs))]
+            while stack:
+                gid, pending = stack[-1]
+                advanced = False
+                for iid in pending:
+                    if state[iid] == 1:
+                        raise CircuitError(f"cycle detected via edge {gid} -> {iid}")
+                    if state[iid] == 0:
+                        state[iid] = 1
+                        stack.append((iid, iter(gates[iid].inputs)))
+                        advanced = True
+                        break
+                if advanced:
+                    continue
+                depth[gid] = 1 + max(map(depth_of, gates[gid].inputs))
+                state[gid] = 2
+                stack.pop()
     return depth
 
 
@@ -209,11 +219,20 @@ def _eval_layers(c: Circuit, bits: Sequence[int], meter: CostMeter | None, seria
     """
     meter = meter if meter is not None else CostMeter()
     vals = terminal_values(c, bits)
+    get = vals.__getitem__
     gates = c.gates
     for layer in topo_layers(c):
         for gid in layer:
             g = gates[gid]
-            vals[gid] = gate_value(g.kind, [vals[i] for i in g.inputs])
+            kind, ins = g.kind, g.inputs
+            if kind is _AND:  # AND, OR and NOT inline; gate_value is their reference definition
+                vals[gid] = 0 if 0 in map(get, ins) else 1
+            elif kind is _OR:
+                vals[gid] = 1 if 1 in map(get, ins) else 0
+            elif kind is _NOT:
+                vals[gid] = 1 - vals[ins[0]]
+            else:
+                vals[gid] = gate_value(kind, [vals[i] for i in ins])
         meter.charge(len(layer), len(layer) if serial else 1)
     return tuple(vals)  # type: ignore[arg-type]
 

@@ -8,12 +8,14 @@ Format, one gate per line in id order, `#` starts a comment::
     output <id>          # final line
 
 ``format_netlist`` writes the canonical byte form; parsing it back and
-re-formatting reproduces the exact same bytes.
+re-formatting reproduces the exact same bytes.  Id tokens are read with
+``int()``, so ``+1`` and ``1_000`` are ids too; a token ``int()`` refuses
+is reported as ``<what> '<token>' is not an integer`` on its line.
 """
 
 from __future__ import annotations
 
-from .circuits import Circuit, CircuitError, Gate, GateKind, check_assignment
+from .circuits import TERMINALS, Circuit, CircuitError, Gate, GateKind, check_assignment
 
 _KIND_TOKENS = {
     "and": GateKind.AND,
@@ -22,6 +24,8 @@ _KIND_TOKENS = {
     "maj": GateKind.MAJORITY,
 }
 _TOKEN_OF_KIND = {kind: tok for tok, kind in _KIND_TOKENS.items()}
+_OUTPUT, _CONST = object(), object()  # the two heads that name no single GateKind
+_HEADS = {"output": _OUTPUT, "input": GateKind.INPUT, "const": _CONST, **_KIND_TOKENS}
 
 
 class NetlistError(CircuitError):
@@ -45,40 +49,42 @@ def parse_netlist(text: str) -> Circuit:
     n_inputs = 0
     output: int | None = None
     for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        parts = (raw.split("#", 1)[0] if "#" in raw else raw).split()
+        if not parts:
             continue
         if output is not None:
             raise NetlistError("content after the output line", lineno)
-        parts = line.split()
         head = parts[0]
-        if head == "output":
+        kind = _HEADS.get(head)
+        if kind is _OUTPUT:
             if len(parts) != 2:
                 raise NetlistError("output line must be 'output <id>'", lineno)
             output = _parse_int(parts[1], "output id", lineno)
             continue
         if len(parts) < 2:
-            raise NetlistError(f"gate line {line!r} is missing an id", lineno)
+            raise NetlistError(f"gate line {head!r} is missing an id", lineno)
         gid = _parse_int(parts[1], "gate id", lineno)
         if gid != len(gates):
             raise NetlistError(f"gate id {gid} out of order, expected {len(gates)}", lineno)
-        if head == "input":
+        if kind is GateKind.INPUT:
             if len(parts) != 2:
                 raise NetlistError("input line must be 'input <id>'", lineno)
             if gates and gates[-1].kind is not GateKind.INPUT:
                 raise NetlistError("input gates must come before all other gates", lineno)
-            gates.append(Gate(gid, GateKind.INPUT))
+            gates.append(Gate(gid, kind))
             n_inputs += 1
-        elif head == "const":
+        elif kind is _CONST:
             if len(parts) != 3 or parts[2] not in ("0", "1"):
                 raise NetlistError("const line must be 'const <id> <0|1>'", lineno)
-            kind = GateKind.CONST1 if parts[2] == "1" else GateKind.CONST0
-            gates.append(Gate(gid, kind))
-        elif head in _KIND_TOKENS:
-            ids = tuple(_parse_int(p, "input id", lineno) for p in parts[2:])
-            if not ids:
+            gates.append(Gate(gid, GateKind.CONST1 if parts[2] == "1" else GateKind.CONST0))
+        elif kind is not None:
+            if len(parts) == 2:
                 raise NetlistError(f"{head} gate needs at least one input id", lineno)
-            gates.append(Gate(gid, _KIND_TOKENS[head], ids))
+            try:
+                ids = tuple(map(int, parts[2:]))
+            except ValueError:
+                ids = tuple(_parse_int(p, "input id", lineno) for p in parts[2:])
+            gates.append(Gate(gid, kind, ids))
         else:
             raise NetlistError(f"unknown gate kind {head!r}", lineno)
     if output is None:
@@ -93,14 +99,13 @@ def format_netlist(c: Circuit) -> str:
     """Canonical netlist text for ``c`` (newline-terminated)."""
     lines = []
     for g in c.gates:
-        if g.kind is GateKind.INPUT:
+        kind = g.kind
+        if kind is GateKind.INPUT:
             lines.append(f"input {g.id}")
-        elif g.kind is GateKind.CONST0:
-            lines.append(f"const {g.id} 0")
-        elif g.kind is GateKind.CONST1:
-            lines.append(f"const {g.id} 1")
+        elif kind in TERMINALS:
+            lines.append(f"const {g.id} {1 if kind is GateKind.CONST1 else 0}")
         else:
-            lines.append(" ".join([_TOKEN_OF_KIND[g.kind], str(g.id), *map(str, g.inputs)]))
+            lines.append(f"{_TOKEN_OF_KIND[kind]} {g.id} {' '.join(map(str, g.inputs))}")
     lines.append(f"output {c.output}")
     return "\n".join(lines) + "\n"
 

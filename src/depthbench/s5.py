@@ -47,8 +47,8 @@ def fold_serial(word: Sequence[Perm], meter: CostMeter | None = None) -> Perm:
         raise ValueError("word must be non-empty")
     meter = meter if meter is not None else CostMeter()
     acc = word[0]
-    for p in word[1:]:
-        acc = compose(acc, p)
+    for b0, b1, b2, b3, b4 in itertools.islice(word, 1, None):
+        acc = (acc[b0], acc[b1], acc[b2], acc[b3], acc[b4])  # compose(acc, p), inline
     meter.charge(len(word) - 1, len(word) - 1)
     return acc
 
@@ -63,9 +63,10 @@ def fold_tree(word: Sequence[Perm], meter: CostMeter | None = None) -> Perm:
     if not word:
         raise ValueError("word must be non-empty")
     meter = meter if meter is not None else CostMeter()
-    level = list(word)
+    level = word
     while len(level) > 1:
-        nxt = [compose(level[i], level[i + 1]) for i in range(0, len(level) - 1, 2)]
+        it = iter(level)  # zip(it, it) pairs neighbours without slicing a copy
+        nxt = [(a[b0], a[b1], a[b2], a[b3], a[b4]) for a, (b0, b1, b2, b3, b4) in zip(it, it)]
         if len(level) % 2:
             nxt.append(level[-1])
         meter.charge(len(level) // 2, 1)

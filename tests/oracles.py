@@ -44,6 +44,53 @@ def is_well_formed(gates, n_inputs: int, output: int) -> bool:
         left -= ready
 
 
+def first_fault(gates, n_inputs: int, output: int) -> str | None:
+    """The ``CircuitError`` message ``Circuit(gates, n_inputs, output)`` should raise, or None if well formed.
+
+    Rules are tried in the documented order: the three header checks, then
+    gate by gate in position order (id, input block, arity, references),
+    and a cycle last.  A cycle returns just the ``"cycle detected via edge"``
+    prefix, since which edge is reported depends on the search order.
+    """
+    n = len(gates)
+    if n == 0:
+        return "circuit has no gates"
+    if output not in range(n):
+        return f"output id {output} out of range 0..{n - 1}"
+    if n_inputs not in range(n + 1):
+        return f"n_inputs {n_inputs} out of range"
+    terminal_names = {GateKind.INPUT: "input", GateKind.CONST0: "const0", GateKind.CONST1: "const1"}
+    for pos, g in enumerate(gates):
+        name = g.kind.value
+        if g.id != pos:
+            return f"gate ids must be dense: position {pos} holds id {g.id}"
+        if pos < n_inputs and g.kind is not GateKind.INPUT:
+            return f"ids 0..{n_inputs - 1} must be INPUT gates, id {pos} is {name}"
+        if pos >= n_inputs and g.kind is GateKind.INPUT:
+            return f"INPUT gate {pos} outside the leading input block"
+        if g.kind in terminal_names and len(g.inputs) > 0:
+            return f"{terminal_names[g.kind]} gate {pos} must have no inputs"
+        if g.kind is GateKind.NOT and len(g.inputs) != 1:
+            return f"not gate {pos} needs exactly one input, got {len(g.inputs)}"
+        if g.kind not in terminal_names and len(g.inputs) == 0:
+            return f"{name} gate {pos} needs at least one input"
+        missing = [i for i in g.inputs if i not in range(n)]
+        if missing:
+            return f"gate {pos} references missing gate {missing[0]}"
+    if not is_well_formed(gates, n_inputs, output):
+        return "cycle detected via edge"
+    return None
+
+
+def reaches(gates, src: int, dst: int) -> bool:
+    """Whether following input edges from gate ``src`` (zero or more) arrives at gate ``dst``."""
+    seen, frontier = {src}, [src]
+    while frontier:
+        frontier = [i for gid in frontier for i in gates[gid].inputs if i not in seen]
+        seen.update(frontier)
+    return dst in seen
+
+
 def recursive_eval(circuit: Circuit, bits) -> tuple[int, ...]:
     """Memoized top-down evaluation, one gate at a time on demand."""
     memo: dict[int, int] = {}

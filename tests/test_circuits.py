@@ -1,6 +1,7 @@
 """Circuit model, layering, serial/layered evaluation, random generation."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,8 +24,16 @@ from depthbench.circuits import (
 from depthbench.meters import CostMeter
 from depthbench.netlist import format_netlist, parse_netlist
 
-from oracles import brute_longest_path, is_well_formed, memo_depths, random_monotone_circuit, recursive_eval
-from strategies import gate_lists
+from oracles import (
+    brute_longest_path,
+    first_fault,
+    is_well_formed,
+    memo_depths,
+    random_monotone_circuit,
+    reaches,
+    recursive_eval,
+)
+from strategies import LOGIC_KINDS, gate_lists
 
 
 def chain3():
@@ -35,6 +44,17 @@ def chain3():
         Gate(3, GateKind.NOT, (2,)),
     )
     return Circuit(gates, 1, 3)
+
+
+def backward_block(seed: int, n_inputs: int, n_gates: int) -> list[Gate]:
+    """Inputs, a const, then logic gates that each read 1-4 ids drawn (repeats allowed) below their own."""
+    rng = random.Random(seed)
+    gates = [Gate(i, GateKind.INPUT) for i in range(n_inputs)] + [Gate(n_inputs, GateKind.CONST1)]
+    for gid in range(len(gates), len(gates) + n_gates):
+        kind = rng.choice(LOGIC_KINDS)
+        arity = 1 if kind is GateKind.NOT else rng.randint(1, 4)
+        gates.append(Gate(gid, kind, tuple(rng.randrange(gid) for _ in range(arity))))
+    return gates
 
 
 class TestMeter:
@@ -140,6 +160,33 @@ class TestLayering:
         with pytest.raises(CircuitError, match="cycle detected via edge"):
             Circuit(gates, 1, 2)
 
+    def test_forward_chain_after_kilogate_block(self):
+        # 3,000 gates read only earlier ids; then gate i of a chain reads gate i + 1 and one block gate (the last reads back
+        # into the block), and a tail of gates reads only earlier ids, chain gates among them
+        gates = backward_block(11, 8, 3_000)
+        start, links = len(gates), 250
+        for gid in range(start, start + links):
+            gates.append(Gate(gid, GateKind.AND, (gid - links, gid + 1) if gid < start + links - 1 else (start - 1,)))
+        rng = random.Random(12)
+        for gid in range(len(gates), len(gates) + 200):
+            gates.append(Gate(gid, GateKind.OR, (rng.randrange(start, gid), rng.randrange(gid))))
+        c = Circuit(tuple(gates), 8, len(gates) - 1)
+        assert c.depths == tuple(memo_depths(c))
+        assert max(c.depths) > links
+        bits = (1, 0, 1, 1, 0, 0, 1, 0)
+        assert eval_serial(c, bits) == eval_layered(c, bits) == recursive_eval(c, bits)
+
+    def test_cycle_closed_after_kilogate_block(self):
+        # the block is valid; gates 3009..3013 read forward and 3013 closes the loop back to 3010
+        gates = backward_block(13, 8, 3_000)
+        start = len(gates)
+        for gid in range(start, start + 4):
+            gates.append(Gate(gid, GateKind.OR, (gid - 5, gid + 1)))
+        gates.append(Gate(start + 4, GateKind.MAJORITY, (start - 1, start + 1, 0)))
+        with pytest.raises(CircuitError) as info:
+            Circuit(tuple(gates), 8, 0)
+        assert str(info.value) == "cycle detected via edge 3013 -> 3010"
+
     def test_depths_are_not_a_field(self):
         c, twin = random_circuit(5, 3, 20), random_circuit(5, 3, 20)
         text = repr(c)
@@ -229,11 +276,39 @@ class TestConstruction:
         text = format_netlist(c)
         assert parse_netlist(text) == c and format_netlist(parse_netlist(text)) == text
 
+    @settings(max_examples=300, deadline=None)
+    @given(parts=gate_lists())
+    def test_error_message_is_the_first_fault(self, parts):
+        gates, n_inputs, output = parts
+        expected = first_fault(gates, n_inputs, output)
+        assert (expected is None) == is_well_formed(gates, n_inputs, output)
+        if expected is None:
+            Circuit(gates, n_inputs, output)
+            return
+        with pytest.raises(CircuitError) as info:
+            Circuit(gates, n_inputs, output)
+        message = str(info.value)
+        if expected != "cycle detected via edge":
+            assert message == expected
+            return
+        u, arrow, v = message.removeprefix("cycle detected via edge ").split(" ")
+        u, v = int(u), int(v)
+        assert arrow == "->" and v in gates[u].inputs and reaches(gates, v, u)
+
 
 class TestEval:
     def test_assignment_length_mismatch(self):
         with pytest.raises(CircuitError, match="assignment"):
             eval_serial(chain3(), (1, 0))
+
+    @pytest.mark.parametrize("kind", LOGIC_KINDS, ids=lambda k: k.value)
+    def test_every_feed_tuple_matches_gate_value(self, kind):
+        for arity in (1,) if kind is GateKind.NOT else (1, 2, 3, 4):
+            gates = tuple(Gate(i, GateKind.INPUT) for i in range(arity)) + (Gate(arity, kind, tuple(range(arity))),)
+            c = Circuit(gates, arity, arity)
+            for bits in itertools.product((0, 1), repeat=arity):
+                expected = gate_value(kind, bits)
+                assert eval_serial(c, bits)[arity] == eval_layered(c, bits)[arity] == expected
 
     def test_cvp_returns_output_bit(self):
         c = chain3()

@@ -85,6 +85,43 @@ def test_non_integer_id_reports_line():
         parse_netlist("input x\noutput 0\n")
 
 
+# exact str(NetlistError) per malformed netlist: line numbers count comment-only, blank and CRLF lines
+PARSE_MESSAGES = {
+    "hash-glued-to-a-token": ("input 0\nnot 1 0#c\nxor 2 1\noutput 2\n", "line 3: unknown gate kind 'xor'"),
+    "comment-and-blank-lines-ahead": (
+        "# header\n\n   \n  # indented comment\ninput 0\n\nnot 1 q\noutput 1\n",
+        "line 7: input id 'q' is not an integer",
+    ),
+    "crlf": ("input 0\r\nnot 1 0\r\nfoo 2 1\r\noutput 2\r\n", "line 3: unknown gate kind 'foo'"),
+    "non-integer-input-id": ("input 0\nand 1 0 y 0\noutput 1\n", "line 2: input id 'y' is not an integer"),
+    "non-integer-gate-id": ("input 0\nor x 0\noutput 1\n", "line 2: gate id 'x' is not an integer"),
+    "non-integer-output-id": ("input 0\noutput one\n", "line 2: output id 'one' is not an integer"),
+    "input-with-no-id": ("input\noutput 0\n", "line 1: gate line 'input' is missing an id"),
+    "unknown-kind-with-no-id": ("input 0\n  xor   # c\noutput 0\n", "line 2: gate line 'xor' is missing an id"),
+    "unknown-kind-out-of-order": ("input 0\nxor 5 0\noutput 0\n", "line 2: gate id 5 out of order, expected 1"),
+    "input-with-two-ids": ("input 0 1\noutput 0\n", "line 1: input line must be 'input <id>'"),
+    "logic-with-no-input-ids": ("input 0\nand 1\noutput 1\n", "line 2: and gate needs at least one input id"),
+    "const-3-2": ("input 0\nnot 1 0\nnot 2 1\nconst 3 2\noutput 3\n", "line 4: const line must be 'const <id> <0|1>'"),
+    "output-with-two-ids": ("input 0\noutput 0 0\n", "line 2: output line must be 'output <id>'"),
+    "content-after-output": (
+        "input 0\nnot 1 0\noutput 1\n# trailing comment\nnot 2 1\n",
+        "line 5: content after the output line",
+    ),
+    "missing-output": ("input 0\nnot 1 0 # no output\n", "missing output line"),
+    "structural-fault-has-no-line": ("input 0\nnot 1 0 0\noutput 1\n", "not gate 1 needs exactly one input, got 2"),
+    "output-out-of-range": ("input 0\nnot 1 0 # 5\nand 2 0 1# x\noutput 9\n", "output id 9 out of range 0..2"),
+}
+
+
+@pytest.mark.parametrize("name", PARSE_MESSAGES)
+def test_parse_error_messages(name):
+    text, message = PARSE_MESSAGES[name]
+    with pytest.raises(NetlistError) as info:
+        parse_netlist(text)
+    assert str(info.value) == message
+    assert info.value.lineno == (int(message.split(":")[0][5:]) if message.startswith("line ") else None)
+
+
 def test_structural_error_still_raised():
     # parses fine line by line but the NOT gate has two inputs
     with pytest.raises(NetlistError):
