@@ -59,7 +59,7 @@ def first_fault(gates, n_inputs: int, output: int) -> str | None:
         return f"output id {output} out of range 0..{n - 1}"
     if n_inputs not in range(n + 1):
         return f"n_inputs {n_inputs} out of range"
-    terminal_names = {GateKind.INPUT: "input", GateKind.CONST0: "const0", GateKind.CONST1: "const1"}
+    terminals = (GateKind.INPUT, GateKind.CONST0, GateKind.CONST1)
     for pos, g in enumerate(gates):
         name = g.kind.value
         if g.id != pos:
@@ -68,11 +68,11 @@ def first_fault(gates, n_inputs: int, output: int) -> str | None:
             return f"ids 0..{n_inputs - 1} must be INPUT gates, id {pos} is {name}"
         if pos >= n_inputs and g.kind is GateKind.INPUT:
             return f"INPUT gate {pos} outside the leading input block"
-        if g.kind in terminal_names and len(g.inputs) > 0:
-            return f"{terminal_names[g.kind]} gate {pos} must have no inputs"
+        if g.kind in terminals and len(g.inputs) > 0:
+            return f"{name} gate {pos} must have no inputs"
         if g.kind is GateKind.NOT and len(g.inputs) != 1:
             return f"not gate {pos} needs exactly one input, got {len(g.inputs)}"
-        if g.kind not in terminal_names and len(g.inputs) == 0:
+        if g.kind not in terminals and len(g.inputs) == 0:
             return f"{name} gate {pos} needs at least one input"
         missing = [i for i in g.inputs if i not in range(n)]
         if missing:
