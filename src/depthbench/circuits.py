@@ -50,8 +50,9 @@ class Circuit:
     """A gate list (dense ids, inputs first), input count, and one output id.
 
     Building one runs ``validate``, so every ``Circuit`` is well formed.
-    ``depths`` is computed then and kept on the instance; it is not a field,
-    so equality and hashing still see only the gates, inputs and output.
+    ``depths`` is computed then and kept on the instance, and ``layers`` on
+    first use; they are not fields, so equality and hashing still see only
+    the gates, inputs and output.
     """
 
     gates: tuple[Gate, ...]
@@ -65,6 +66,16 @@ class Circuit:
     def depths(self) -> tuple[int, ...]:
         """``gate_depths`` of this circuit, computed once."""
         return tuple(gate_depths(self))
+
+    @cached_property
+    def layers(self) -> tuple[tuple[int, ...], ...]:
+        """Logic gate ids grouped by depth, computed once: layer d-1 holds the depth-d gates in id order."""
+        depths = self.depths
+        layers: list[list[int]] = [[] for _ in range(max(depths, default=0))]
+        for g, d in zip(self.gates, depths):
+            if d:  # terminals sit at depth 0, every logic gate at 1 or more
+                layers[d - 1].append(g.id)  # the gate's own id object: kept layers add no new ints
+        return tuple(map(tuple, layers))
 
 
 def logic_ids(c: Circuit) -> tuple[int, ...]:
@@ -178,14 +189,10 @@ def topo_layers(c: Circuit) -> list[list[int]]:
     """Logic gates grouped by depth: layer d-1 holds the depth-d gates.
 
     Terminals appear in no layer.  The number of layers equals the circuit
-    depth, so a circuit of only INPUT/CONST gates has zero layers.
+    depth, so a circuit of only INPUT/CONST gates has zero layers.  The lists
+    are fresh copies of ``c.layers``.
     """
-    depths = c.depths
-    layers: list[list[int]] = [[] for _ in range(max(depths, default=0))]
-    for g in c.gates:
-        if g.kind not in TERMINALS:
-            layers[depths[g.id] - 1].append(g.id)
-    return layers
+    return [list(layer) for layer in c.layers]
 
 
 def check_assignment(bits: Sequence[int], n_inputs: int) -> None:
@@ -221,7 +228,7 @@ def _eval_layers(c: Circuit, bits: Sequence[int], meter: CostMeter | None, seria
     vals = terminal_values(c, bits)
     get = vals.__getitem__
     gates = c.gates
-    for layer in topo_layers(c):
+    for layer in c.layers:
         for gid in layer:
             g = gates[gid]
             kind, ins = g.kind, g.inputs

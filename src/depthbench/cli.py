@@ -129,6 +129,8 @@ def cmd_s5(args) -> int:
 
 
 def cmd_do1(args) -> int:
+    if args.exact_oracle and args.noise is not None:  # checked here, so a --config value conflicts too
+        raise ValueError("--exact-oracle and --noise cannot be combined")
     with open(args.netlist, "r", encoding="utf-8") as fh:
         circuit = parse_netlist(fh.read())
     bits = parse_assignment(args.assignment, circuit.n_inputs)

@@ -177,6 +177,10 @@ class EnvState(NamedTuple):
     horizon: int
 
 
+# EnvState's own __new__ is a Python function that builds the same tuple; probe states skip that frame
+_new_state = tuple.__new__
+
+
 def env_reset(cfg: CircuitConfig, chain_len: int) -> EnvState:
     """Fresh episode: forced choice pending, t = 0, horizon = max(k, gate count)."""
     if chain_len < 1:
@@ -212,7 +216,12 @@ def _advance(s: EnvState) -> tuple[EnvState, int, bool]:
 
 
 def _commit(s: EnvState, phase: Phase, chosen: frozenset[int]) -> tuple[EnvState, int, bool]:
-    """Step from the forced choice of ``s`` onto ``phase``'s side with ``chosen`` picked; no legality check."""
+    """Step from the forced choice of ``s`` onto ``phase``'s side with ``chosen`` picked; no legality check.
+
+    ``env_step``'s one commit path.  Extraction builds its circuit probes
+    without it whenever the horizon exceeds 1, since ``_advance`` returns a
+    t = 1 state unchanged then.
+    """
     return _advance(EnvState(s.config, s.chain_len, phase, chosen, 1, s.horizon))
 
 
@@ -322,8 +331,11 @@ def extract_depth_of_one(cfg: CircuitConfig, value_fn: Callable[[EnvState], floa
     full gate count when k* = m, and falling back to 1 when the circuit
     never matches.  Total probes: (gate count + 1) * (m + 1), the chain probe
     first and then the gates in ascending id, each one ``value_fn`` call on the
-    state ``env_step`` reaches from the length's reset state (circuit probes
-    build it with ``env_step``'s helper and skip its dispatch).
+    state ``env_step`` reaches from the length's reset state.  The chain probe
+    goes through ``env_step``; after one horizon check per length, circuit
+    probes build their t = 1 ``EnvState`` directly, and only a horizon of 1 (a
+    one-gate circuit at chain length 1) takes ``_commit``, whose pick ends
+    the episode.
 
     With the exact ``optimal_value`` oracle the true depth-of-one d
     satisfies estimate <= d < 2 * estimate; if probes are scaled by noise
@@ -337,12 +349,19 @@ def extract_depth_of_one(cfg: CircuitConfig, value_fn: Callable[[EnvState], floa
     m = (n - 1).bit_length() if n > 1 else 0
     chain_pick = PickChainGate(1)
     picks = [frozenset((gid,)) for gid in ids]
+    circuit_side = Phase.SELECTING_CIRCUIT
     k_star: int | None = None
     for ell in range(m + 1):
         base = env_reset(cfg, 2**ell)
         v_chain = value_fn(env_step(base, chain_pick)[0])
-        best = max([value_fn(_commit(base, Phase.SELECTING_CIRCUIT, chosen)[0]) for chosen in picks])
-        if best >= v_chain:
+        chain_len, horizon = base.chain_len, base.horizon
+        if horizon > 1:  # t = 1 < horizon: _commit's _advance would hand the state back as built
+            probes = [
+                value_fn(_new_state(EnvState, (cfg, chain_len, circuit_side, chosen, 1, horizon))) for chosen in picks
+            ]
+        else:  # a one-gate circuit at chain length 1: the pick ends the episode
+            probes = [value_fn(_commit(base, circuit_side, chosen)[0]) for chosen in picks]
+        if max(probes) >= v_chain:
             k_star = ell
     if k_star is None:
         return 1

@@ -187,6 +187,17 @@ class TestLayering:
             Circuit(tuple(gates), 8, 0)
         assert str(info.value) == "cycle detected via edge 3013 -> 3010"
 
+    def test_layers_kept_and_topo_layers_copies_them(self):
+        c = random_circuit(7, 4, 40, fanin_max=4)
+        assert c.layers is c.layers
+        assert all(type(layer) is tuple for layer in c.layers)
+        layers = topo_layers(c)
+        assert layers == [list(layer) for layer in c.layers]
+        layers[0].append(-1)  # a caller's edit reaches neither the kept layers nor the next copy
+        assert -1 not in c.layers[0] and topo_layers(c) == [list(layer) for layer in c.layers]
+        twin = random_circuit(7, 4, 40, fanin_max=4)
+        assert c == twin and hash(c) == hash(twin) and repr(c) == repr(twin)
+
     def test_depths_are_not_a_field(self):
         c, twin = random_circuit(5, 3, 20), random_circuit(5, 3, 20)
         text = repr(c)

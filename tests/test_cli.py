@@ -188,6 +188,24 @@ class TestDo1:
         assert code == 2
         assert "exact-oracle" in err
 
+    def test_exact_oracle_and_noise_refused(self, capsys, tmp_path):
+        net = tmp_path / "chain.net"
+        net.write_text(CHAIN5)
+        code, out, err = run(capsys, "do1", str(net), "--extract", "--exact-oracle", "--noise", "0.5")
+        assert (code, out, err) == (2, "", "error: --exact-oracle and --noise cannot be combined\n")
+
+    @pytest.mark.parametrize(
+        "doc, flags",
+        [({"exact-oracle": True}, ["--noise", "0.5"]), ({"noise": 0.5}, ["--exact-oracle"])],
+    )
+    def test_exact_oracle_and_noise_refused_across_config(self, capsys, tmp_path, doc, flags):
+        net = tmp_path / "chain.net"
+        net.write_text(CHAIN5)
+        cfg = tmp_path / "do1.json"
+        cfg.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "do1", str(net), "--extract", *flags, "--config", str(cfg))
+        assert (code, out, err) == (2, "", "error: --exact-oracle and --noise cannot be combined\n")
+
     def test_all_cold_gives_zero(self, capsys, tmp_path):
         net = tmp_path / "cold.net"
         net.write_text("input 0\nor 1 0\nand 2 1 0\noutput 2\n")

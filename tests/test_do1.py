@@ -503,6 +503,18 @@ class TestProbeStates:
         cfg = random_alt_config(seed, n_inputs, n_gates)
         _, seen = recording_extraction(cfg)
         assert seen == reference_probe_states(cfg)
+        assert all(type(s) is EnvState for s in seen)  # a bare tuple of the same fields would compare equal
+
+    def test_two_gate_circuit_probes_built_states_at_horizon_two(self):
+        gates = (Gate(0, GateKind.INPUT), Gate(1, GateKind.OR, (0,)), Gate(2, GateKind.AND, (1,)))
+        cfg = cfg_from(Circuit(gates, 1, 2), (1,))  # horizon max(1, 2) = 2 at chain length 1: t = 1 stays open
+        estimate, seen = recording_extraction(cfg)
+        assert estimate == 2
+        assert seen == reference_probe_states(cfg)
+        assert all(type(s) is EnvState for s in seen)
+        assert seen[1] == (cfg, 1, Phase.SELECTING_CIRCUIT, frozenset({1}), 1, 2)
+        assert seen[2] == (cfg, 1, Phase.SELECTING_CIRCUIT, frozenset({2}), 1, 2)
+        assert len(seen) == 6  # (2 + 1) probes at chain lengths 1 and 2
 
     def test_one_gate_circuit_probes_a_done_state(self):
         gates = (Gate(0, GateKind.INPUT), Gate(1, GateKind.OR, (0,)))
