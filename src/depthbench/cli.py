@@ -129,8 +129,13 @@ def cmd_s5(args) -> int:
 
 
 def cmd_do1(args) -> int:
-    if args.exact_oracle and args.noise is not None:  # checked here, so a --config value conflicts too
+    # checked here rather than by argparse, so a --config value is refused the same way as a flag
+    if args.exact_oracle and args.noise is not None:
         raise ValueError("--exact-oracle and --noise cannot be combined")
+    if not args.extract and (args.exact_oracle or args.noise is not None):
+        raise ValueError(f"{'--exact-oracle' if args.exact_oracle else '--noise'} needs --extract")
+    if args.seed is not None and args.noise is None:
+        raise ValueError("--seed needs --noise")
     with open(args.netlist, "r", encoding="utf-8") as fh:
         circuit = parse_netlist(fh.read())
     bits = parse_assignment(args.assignment, circuit.n_inputs)
@@ -141,7 +146,7 @@ def cmd_do1(args) -> int:
         return EXIT_OK
     if args.noise is not None:
         eps = args.noise
-        oracle = do1.NoisyOracle(do1.optimal_value, eps, args.seed)
+        oracle = do1.NoisyOracle(do1.optimal_value, eps, args.seed or 0)
     elif args.exact_oracle:
         eps = 1.0
         oracle = do1.optimal_value
@@ -242,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_do1.add_argument("--extract", action="store_true", help="estimate via value probes instead")
     p_do1.add_argument("--exact-oracle", action="store_true", help="probe the exact state values")
     p_do1.add_argument("--noise", type=float, help="probe values scaled by noise in [EPS, 1]")
-    p_do1.add_argument("--seed", type=int, default=0, help="noise seed")
+    p_do1.add_argument("--seed", type=int, help="noise seed for --noise (default 0)")
     add_config(p_do1)
     p_do1.set_defaults(func=cmd_do1)
 

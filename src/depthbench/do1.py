@@ -166,7 +166,8 @@ class EnvState(NamedTuple):
 
     A named tuple, so states hash and compare by value (equal to a plain
     tuple of the same fields) and are cheap to build: every probe of an
-    extraction builds one.
+    extraction is one, the chain probe from ``env_step`` and each circuit
+    probe built as the same tuple ``env_step`` would return.
     """
 
     config: CircuitConfig
@@ -201,64 +202,46 @@ def _side_analysis(s: EnvState) -> tuple[Sequence[int], Collection[int], int]:
     return s.config.circuit.depths, a.hot, a.depth_of_one
 
 
-def _terminal_reward(s: EnvState) -> int:
-    depths, hot, _ = _side_analysis(s)
-    if any(g not in hot for g in s.chosen):
-        return 0
-    return max((depths[g] for g in s.chosen), default=0)
-
-
 def _advance(s: EnvState) -> tuple[EnvState, int, bool]:
+    """``s`` as ``env_step``'s successor: open before the horizon, else done with the terminal reward."""
     if s.t < s.horizon:
         return s, 0, False
-    reward = _terminal_reward(s)
+    depths, hot, _ = _side_analysis(s)
+    reward = 0 if any(g not in hot for g in s.chosen) else max((depths[g] for g in s.chosen), default=0)
     return EnvState(s.config, s.chain_len, Phase.DONE, s.chosen, s.t, s.horizon), reward, True
-
-
-def _commit(s: EnvState, phase: Phase, chosen: frozenset[int]) -> tuple[EnvState, int, bool]:
-    """Step from the forced choice of ``s`` onto ``phase``'s side with ``chosen`` picked; no legality check.
-
-    ``env_step``'s one commit path.  Extraction builds its circuit probes
-    without it whenever the horizon exceeds 1, since ``_advance`` returns a
-    t = 1 state unchanged then.
-    """
-    return _advance(EnvState(s.config, s.chain_len, phase, chosen, 1, s.horizon))
 
 
 def env_step(s: EnvState, a: Action) -> tuple[EnvState, int, bool]:
     """Apply one action.
 
-    Returns ``(next_state, reward, done)``.  The reward is 0 everywhere
-    except the transition into the terminal state.  Illegal actions —
-    wrong action type for the phase, an id off the committed side, or a
-    re-selection — leave the state unchanged with zero reward rather than
-    raising.
+    Returns ``(next_state, reward, done)``.  A pick commits to its side and
+    a select adds to it; either way, and on a pass, one step is taken.  The
+    reward is 0 everywhere except the transition into the terminal state.
+    Illegal actions — wrong action type for the phase, an id off the
+    committed side, or a re-selection — leave the state unchanged with
+    zero reward rather than raising.
     """
     if s.phase is Phase.DONE:
         return s, 0, True
     if s.phase is Phase.FORCED_CHOICE:
         if isinstance(a, PickCircuitGate):
-            if a.gate_id not in s.config.logic_gates:
-                return s, 0, False
-            return _commit(s, Phase.SELECTING_CIRCUIT, frozenset((a.gate_id,)))
-        if isinstance(a, PickChainGate):
-            if not 1 <= a.gate_id <= s.chain_len:
-                return s, 0, False
-            return _commit(s, Phase.SELECTING_CHAIN, frozenset((a.gate_id,)))
-        return s, 0, False
-    if isinstance(a, SelectGate):
-        if s.phase is Phase.SELECTING_CIRCUIT:
-            legal = a.gate_id in s.config.logic_gates
+            phase = Phase.SELECTING_CIRCUIT
+        elif isinstance(a, PickChainGate):
+            phase = Phase.SELECTING_CHAIN
         else:
-            legal = 1 <= a.gate_id <= s.chain_len
-        if not legal or a.gate_id in s.chosen:
             return s, 0, False
-        nxt = EnvState(s.config, s.chain_len, s.phase, s.chosen | {a.gate_id}, s.t + 1, s.horizon)
-    elif isinstance(a, Pass):
-        nxt = EnvState(s.config, s.chain_len, s.phase, s.chosen, s.t + 1, s.horizon)
+    elif isinstance(a, (SelectGate, Pass)):
+        phase = s.phase
     else:
         return s, 0, False
-    return _advance(nxt)
+    chosen = s.chosen
+    if not isinstance(a, Pass):
+        gid = a.gate_id
+        on_side = gid in s.config.logic_gates if phase is Phase.SELECTING_CIRCUIT else 1 <= gid <= s.chain_len
+        if not on_side or gid in chosen:
+            return s, 0, False
+        chosen = chosen | {gid}
+    return _advance(EnvState(s.config, s.chain_len, phase, chosen, s.t + 1, s.horizon))
 
 
 def optimal_value(s: EnvState) -> int:
@@ -332,10 +315,9 @@ def extract_depth_of_one(cfg: CircuitConfig, value_fn: Callable[[EnvState], floa
     never matches.  Total probes: (gate count + 1) * (m + 1), the chain probe
     first and then the gates in ascending id, each one ``value_fn`` call on the
     state ``env_step`` reaches from the length's reset state.  The chain probe
-    goes through ``env_step``; after one horizon check per length, circuit
-    probes build their t = 1 ``EnvState`` directly, and only a horizon of 1 (a
-    one-gate circuit at chain length 1) takes ``_commit``, whose pick ends
-    the episode.
+    goes through ``env_step``; each circuit probe's t = 1 ``EnvState`` is built
+    directly, on the circuit side, or done when the horizon is 1 (a one-gate
+    circuit at chain length 1), where the pick ends the episode.
 
     With the exact ``optimal_value`` oracle the true depth-of-one d
     satisfies estimate <= d < 2 * estimate; if probes are scaled by noise
@@ -349,18 +331,13 @@ def extract_depth_of_one(cfg: CircuitConfig, value_fn: Callable[[EnvState], floa
     m = (n - 1).bit_length() if n > 1 else 0
     chain_pick = PickChainGate(1)
     picks = [frozenset((gid,)) for gid in ids]
-    circuit_side = Phase.SELECTING_CIRCUIT
     k_star: int | None = None
     for ell in range(m + 1):
         base = env_reset(cfg, 2**ell)
         v_chain = value_fn(env_step(base, chain_pick)[0])
         chain_len, horizon = base.chain_len, base.horizon
-        if horizon > 1:  # t = 1 < horizon: _commit's _advance would hand the state back as built
-            probes = [
-                value_fn(_new_state(EnvState, (cfg, chain_len, circuit_side, chosen, 1, horizon))) for chosen in picks
-            ]
-        else:  # a one-gate circuit at chain length 1: the pick ends the episode
-            probes = [value_fn(_commit(base, circuit_side, chosen)[0]) for chosen in picks]
+        phase = Phase.SELECTING_CIRCUIT if horizon > 1 else Phase.DONE  # the phase a pick reaches at t = 1
+        probes = [value_fn(_new_state(EnvState, (cfg, chain_len, phase, chosen, 1, horizon))) for chosen in picks]
         if max(probes) >= v_chain:
             k_star = ell
     if k_star is None:

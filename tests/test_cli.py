@@ -206,6 +206,76 @@ class TestDo1:
         code, out, err = run(capsys, "do1", str(net), "--extract", *flags, "--config", str(cfg))
         assert (code, out, err) == (2, "", "error: --exact-oracle and --noise cannot be combined\n")
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--exact-oracle"], "--exact-oracle needs --extract"),
+            (["--noise", "0.5"], "--noise needs --extract"),
+            (["--noise", "0.5", "--seed", "9"], "--noise needs --extract"),
+            (["--seed", "9"], "--seed needs --noise"),
+            (["--extract", "--exact-oracle", "--seed", "9"], "--seed needs --noise"),
+            (["--extract", "--exact-oracle", "--seed", "0"], "--seed needs --noise"),
+        ],
+    )
+    def test_unused_oracle_flags_refused(self, capsys, tmp_path, flags, message):
+        net = tmp_path / "chain.net"
+        net.write_text(CHAIN5)
+        code, out, err = run(capsys, "do1", str(net), *flags)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize(
+        "doc, flags, message",
+        [
+            ({"exact-oracle": True}, [], "--exact-oracle needs --extract"),
+            ({"noise": 0.5, "seed": 9}, [], "--noise needs --extract"),
+            ({"seed": 9}, ["--extract", "--exact-oracle"], "--seed needs --noise"),
+            ({"extract": True, "seed": 9}, ["--exact-oracle"], "--seed needs --noise"),
+        ],
+    )
+    def test_unused_oracle_flags_refused_across_config(self, capsys, tmp_path, doc, flags, message):
+        net = tmp_path / "chain.net"
+        net.write_text(CHAIN5)
+        cfg = tmp_path / "do1.json"
+        cfg.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "do1", str(net), *flags, "--config", str(cfg))
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize(
+        "netlist, argv, out, err",
+        [
+            (CHAIN5, [], "5\n", ""),
+            (CHAIN5, ["--extract", "--exact-oracle"], "4\n", "bracket ok: d1=5 estimate=4 probes=24 (4 <= 5 < 8)\n"),
+            (
+                CHAIN5,
+                ["--extract", "--noise", "0.5", "--seed", "7"],
+                "4\n",
+                "bracket ok: d1=5 estimate=4 probes=24 (2 <= 5 <= 16)\n",
+            ),
+            # one gate at chain length 1: horizon 1, so each probe is a pick that ends the episode
+            ("input 0\nor 1 0\noutput 1\n", ["1"], "1\n", ""),
+            (
+                "input 0\nor 1 0\noutput 1\n",
+                ["1", "--extract", "--exact-oracle"],
+                "1\n",
+                "bracket ok: d1=1 estimate=1 probes=2 (1 <= 1 < 2)\n",
+            ),
+        ],
+    )
+    def test_readme_examples_byte_for_byte(self, capsys, tmp_path, netlist, argv, out, err):
+        net = tmp_path / "net.nl"
+        net.write_text(netlist)
+        assert run(capsys, "do1", str(net), *argv) == (0, out, err)
+
+    def test_noise_seed_from_config_and_default(self, capsys, tmp_path):
+        net = tmp_path / "chain.net"
+        net.write_text(CHAIN5)
+        cfg = tmp_path / "do1.json"
+        cfg.write_text(json.dumps({"extract": True, "noise": 0.5, "seed": 7}))
+        from_config = run(capsys, "do1", str(net), "--config", str(cfg))
+        assert from_config == run(capsys, "do1", str(net), "--extract", "--noise", "0.5", "--seed", "7")
+        omitted = run(capsys, "do1", str(net), "--extract", "--noise", "0.5")
+        assert omitted == run(capsys, "do1", str(net), "--extract", "--noise", "0.5", "--seed", "0")
+
     def test_all_cold_gives_zero(self, capsys, tmp_path):
         net = tmp_path / "cold.net"
         net.write_text("input 0\nor 1 0\nand 2 1 0\noutput 2\n")

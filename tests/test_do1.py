@@ -644,6 +644,33 @@ class TestStructural:
         assert optimal_value(root) == brute_force_value(root) == max(d1, chain_len)
         assert rollout(cfg, chain_len, oracle_policy) == max(d1, chain_len)
 
+    @settings(max_examples=100, deadline=None)
+    @given(cfg=alt_configs(), chain_len=st.integers(1, 4))
+    def test_every_terminal_reward_matches_the_oracles(self, cfg, chain_len):
+        """Each reachable step into the terminal state pays what the reference evaluation says."""
+        values, depths = recursive_eval(cfg.circuit, cfg.bits), memo_depths(cfg.circuit)
+        frontier, seen, terminals = [env_reset(cfg, chain_len)], set(), 0
+        while frontier:
+            s = frontier.pop()
+            for action in legal_actions(s):
+                nxt, reward, done = env_step(s, action)
+                if not done:
+                    key = (nxt.phase, nxt.chosen, nxt.t)
+                    if key not in seen:
+                        seen.add(key)
+                        frontier.append(nxt)
+                    continue
+                terminals += 1
+                assert (nxt.phase, nxt.t) == (Phase.DONE, s.horizon)
+                if s.phase is Phase.SELECTING_CHAIN or isinstance(action, PickChainGate):
+                    want = max(nxt.chosen)  # chain gate j is hot at depth j
+                elif all(values[g] == 1 for g in nxt.chosen):
+                    want = max(depths[g] for g in nxt.chosen)
+                else:
+                    want = 0
+                assert reward == want
+        assert terminals > 0
+
     @pytest.mark.xfail(
         strict=True,
         reason="ROADMAP item 1: is_depth_zero misses a hot OR that mixes terminal and gate feeds",
