@@ -143,8 +143,8 @@ def _run_derand(case: BenchCase, params: dict) -> tuple[CostMeter, dict]:
         decider, case.size, vocab, params["delta_all"], rng_seed=case.seed, max_attempts=params["max_attempts"]
     )
     meter = CostMeter()
-    # the model's worst case: every attempt checks the full input space with
-    # k decider calls apiece (a vote that stops at its majority makes fewer)
+    # every attempt decides all k seeds of each input, in one round: the
+    # SimulatedDecider's search makes exactly these k·vocab^n (word, seed) hashes
     meter.charge(result.attempts * (vocab**case.size) * result.k, result.attempts)
     return meter, {"k": result.k, "attempts": result.attempts, "found": int(result.success)}
 

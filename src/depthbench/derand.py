@@ -21,11 +21,14 @@ Word = tuple[int, ...]
 
 _MASK64 = (1 << 64) - 1
 
-INPUT_BUDGET = 1 << 20  # max inputs, and max decider calls, in one search attempt
+INPUT_BUDGET = 1 << 20  # max inputs, (word, seed) decisions and word length in one search attempt
 
-# seed hashes one SimulatedDecider keeps: a bundle of up to this many seeds is hashed
-# once, not once per word; k passes it only where vocab^n <= INPUT_BUDGET / 4096 = 256
+# seed hashes one SimulatedDecider keeps, and lanes in one packed int of count_bundle_errors:
+# a bundle of up to this many seeds is hashed once, not once per word; k passes it only
+# where vocab^n <= INPUT_BUDGET / 4096 = 256
 SEED_HASHES = 4096
+
+_WORD_HASH = 0x8BADF00D  # hash of the empty word; each token is mixed in after it
 
 
 def _mix(x: int) -> int:
@@ -73,16 +76,19 @@ class SimulatedDecider:
 
     def decide(self, word: Word, seed: int) -> int:
         if word != self._word and tuple(word) != self._word:  # a list never equals the kept tuple
-            h = 0x8BADF00D
+            h = _WORD_HASH
             for tok in word:
                 h = _mix(h ^ (tok + 1))
             self._word, self._word_hash, self._word_truth = tuple(word), h, self.truth(word)
+        return self._word_truth ^ (_mix(self._word_hash ^ self._seed_hash(seed)) < self._threshold)
+
+    def _seed_hash(self, seed: int) -> int:
         seed_hash = self._seed_hashes.get(seed)
         if seed_hash is None:
             if len(self._seed_hashes) == SEED_HASHES:  # a bundle past the bound starts over
                 self._seed_hashes.clear()
             seed_hash = self._seed_hashes[seed] = _mix(seed & _MASK64)
-        return self._word_truth ^ (_mix(self._word_hash ^ seed_hash) < self._threshold)
+        return seed_hash
 
 
 @dataclass(frozen=True)
@@ -172,8 +178,77 @@ def all_words(n: int, vocab_size: int) -> Iterator[Word]:
     return itertools.product(range(vocab_size), repeat=n)
 
 
+def _word_hashes(n: int, vocab_size: int) -> Iterator[int]:
+    """The hash ``decide`` gives each length-n word, in ``all_words`` order.
+
+    An odometer over the tokens: ``prefix[i]`` is the hash of the current
+    word's first i tokens, so each prefix is hashed once and the state is
+    O(n), with no list of the vocab^n words.
+    """
+    tokens = [0] * n
+    prefix = [_WORD_HASH] * n
+    stale = 1  # prefix[stale:] must be rehashed from the tokens before them
+    while True:
+        for i in range(stale, n):
+            prefix[i] = _mix(prefix[i - 1] ^ (tokens[i - 1] + 1))
+        last = prefix[n - 1]
+        for tok in range(1, vocab_size + 1):
+            yield _mix(last ^ tok)
+        i = n - 2
+        while i >= 0 and tokens[i] == vocab_size - 1:
+            tokens[i] = 0
+            i -= 1
+        if i < 0:
+            return
+        tokens[i] += 1
+        stale = i + 1
+
+
+def _packed_misses(decider: SimulatedDecider, bundle: SeedBundle, n: int, vocab_size: int) -> int:
+    """``count_bundle_errors`` for a ``SimulatedDecider``: all k decisions on a word in one pass.
+
+    Each seed hash sits in the low half of a 128-bit lane of one int, at most
+    ``SEED_HASHES`` lanes to an int, and ``_mix`` runs on every lane at once.
+    A shift's spill into the lane below is masked off before the next
+    multiply, and a product of two 64-bit numbers never leaves its lane.
+    Adding 2^64 - threshold to a lane sets its bit 64 iff the hash is at or
+    above the threshold, that is iff that seed's vote is the truth; since
+    ``decide`` is truth ^ error, a word is a miss iff fewer than k//2+1 lanes
+    vote the truth, and the truth itself is never asked.
+    """
+    hashes = [decider._seed_hash(s) for s in bundle.seeds]
+    carry = (1 << 64) - decider._threshold
+    blocks = []
+    for start in range(0, len(hashes), SEED_HASHES):
+        lanes = hashes[start : start + SEED_HASHES]
+        ones = int.from_bytes((b"\x01" + bytes(15)) * len(lanes), "little")  # 1 in every lane
+        packed = int.from_bytes(b"".join(h.to_bytes(16, "little") for h in lanes), "little")
+        blocks.append((packed, ones, ones * 0x9E3779B97F4A7C15, ones * _MASK64, ones * carry))
+    high = blocks[0][1] << 64  # bit 64 of every lane; a shorter last block reads only its own
+    need = bundle.k // 2 + 1
+    bad = 0
+    for word_hash in _word_hashes(n, vocab_size):
+        right = 0
+        for packed, ones, add, mask, carries in blocks:
+            x = ((packed ^ word_hash * ones) + add) & mask
+            x = ((x ^ (x >> 30)) & mask) * 0xBF58476D1CE4E5B9 & mask
+            x = ((x ^ (x >> 27)) & mask) * 0x94D049BB133111EB & mask
+            right += ((x ^ (x >> 31)) + carries & high).bit_count()  # the shift's spill sits above bit 96
+        bad += right < need
+    return bad
+
+
 def count_bundle_errors(decider, bundle: SeedBundle, n: int, vocab_size: int) -> int:
-    """Exhaustive count of inputs where the majority vote disagrees with the truth."""
+    """Exhaustive count of inputs where the majority vote disagrees with the truth.
+
+    A ``SimulatedDecider`` (the class itself: a subclass may override
+    ``decide``) is counted by ``_packed_misses``, every seed's decision on a
+    word in one pass, without asking the truth.  Any other decider is asked
+    word by word through ``majority_vote``, which stops each vote at its
+    majority.
+    """
+    if type(decider) is SimulatedDecider:
+        return _packed_misses(decider, bundle, n, vocab_size)
     bad = 0
     for w in all_words(n, vocab_size):
         if majority_vote(decider, bundle, w) != decider.truth(w):
@@ -201,22 +276,30 @@ def find_universal_seeds(
     """Draw random bundles until one is correct on every length-n word.
 
     The bundle size comes from the union bound at ``delta_all``; each
-    attempt is verified exhaustively, recording its error count.  An
-    attempt makes at most k * vocab^n decider calls: each vote stops once
-    one bit has a majority, so usually far fewer.  The budget
-    ``INPUT_BUDGET`` bounds running time by that worst case: both the input
-    space vocab^n and k * vocab^n must fit it, and a ``CapacityError`` is
-    raised before any seed is drawn otherwise (k grows without bound as p
-    nears 1/2).  Failure after ``max_attempts`` returns a result with
-    ``bundle=None`` and the full per-attempt error history.
+    attempt is verified exhaustively by ``count_bundle_errors``, recording
+    its error count.  An attempt decides k * vocab^n (word, seed) pairs: a
+    ``SimulatedDecider`` hashes all k of every word in one pass, and any
+    other decider is asked through votes that stop at their majority, so
+    usually fewer times.  The budget ``INPUT_BUDGET`` bounds running time by
+    that count: the input space vocab^n, k * vocab^n and the word length n
+    must all fit it, and a ``CapacityError`` is raised before any seed is
+    drawn otherwise (k grows without bound as p nears 1/2; at vocab 1 there
+    is one input of any length, but hashing it costs n).  vocab^n is built
+    only where it is below 2^256, so a huge one is refused as a power.
+    Failure after ``max_attempts`` returns a result with ``bundle=None`` and
+    the full per-attempt error history.
     """
     if n < 1 or vocab_size < 1:
         raise ValueError("n and vocab_size must be >= 1")
     if max_attempts < 1:
         raise ValueError("max_attempts must be >= 1")
+    if vocab_size > 1 and vocab_size.bit_length() * n > 256:  # vocab^n >= 2^128: far past the budget
+        raise CapacityError(f"{vocab_size}^{n} inputs exceeds budget {INPUT_BUDGET}")
     n_words = vocab_size**n
     if n_words > INPUT_BUDGET:
         raise CapacityError(f"{vocab_size}^{n} = {n_words} inputs exceeds budget {INPUT_BUDGET}")
+    if n > INPUT_BUDGET:
+        raise CapacityError(f"word length {n} exceeds budget {INPUT_BUDGET}")
     k = union_bound_k(n, vocab_size, delta_all, decider.p)
     if k * n_words > INPUT_BUDGET:
         raise CapacityError(

@@ -8,6 +8,7 @@ through.
 
 from __future__ import annotations
 
+import itertools
 import random
 
 from depthbench.circuits import TERMINALS, Circuit, Gate, GateKind
@@ -174,6 +175,38 @@ def word_product(word) -> tuple[int, ...]:
 def perm_parity_by_inversions(p) -> int:
     """Parity as inversion count mod 2 (library uses cycle decomposition)."""
     return sum(1 for i in range(5) for j in range(i + 1, 5) if p[i] > p[j]) % 2
+
+
+def splitmix64_finalizer(x: int) -> int:
+    """splitmix64's output function (Steele, Lea & Flood, OOPSLA 2014), in arithmetic mod 2^64."""
+    x = (x + 0x9E3779B97F4A7C15) % 2**64
+    x = (x ^ x // 2**30) * 0xBF58476D1CE4E5B9 % 2**64
+    x = (x ^ x // 2**27) * 0x94D049BB133111EB % 2**64
+    return x ^ x // 2**31
+
+
+def simulated_bundle_errors(truth, p: float, seeds, n: int, vocab: int) -> int:
+    """Words where a full vote of the simulated decider over ``seeds`` misses ``truth``.
+
+    Written out from the decider's published rule, not from the package: a
+    word hashes as the chain of finalizer steps from 0x8BADF00D, xoring in
+    token + 1 each time; a seed hashes as the finalizer of the seed mod
+    2^64; the decision is the truth, flipped when the finalizer of the two
+    hashes xored falls below floor(p * 2^64).  Every seed votes: no early exit.
+    """
+    threshold = int(p * 2**64)
+    seed_hashes = [splitmix64_finalizer(s % 2**64) for s in seeds]
+    bad = 0
+    for word in itertools.product(range(vocab), repeat=n):
+        word_hash = 0x8BADF00D
+        for tok in word:
+            word_hash = splitmix64_finalizer(word_hash ^ (tok + 1))
+        right = truth(word)
+        votes = [right ^ (splitmix64_finalizer(word_hash ^ h) < threshold) for h in seed_hashes]
+        majority = 1 if votes.count(1) > votes.count(0) else 0
+        if majority != right:
+            bad += 1
+    return bad
 
 
 def random_monotone_circuit(seed: int, n_inputs: int, n_gates: int, fanin_max: int = 3) -> Circuit:

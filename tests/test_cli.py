@@ -332,6 +332,13 @@ class TestDerand:
         assert (code, out) == (2, "")
         assert "decider calls per attempt exceeds budget 1048576" in err
 
+    def test_search_past_input_budget_is_usage_error(self, capsys):
+        # 2^20000 has more digits than int-to-string conversion allows by default
+        code, out, err = run(capsys, "derand", "--n", "20000")
+        assert (code, out, err) == (2, "", "error: 2^20000 inputs exceeds budget 1048576\n")
+        code, out, err = run(capsys, "derand", "--vocab", "1", "--n", "1048577")
+        assert (code, out, err) == (2, "", "error: word length 1048577 exceeds budget 1048576\n")
+
 
 class TestBench:
     def test_suite_to_stdout(self, capsys, tmp_path):

@@ -5,6 +5,7 @@ import hashlib
 import itertools
 import math
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,6 +24,8 @@ from depthbench.derand import (
     union_bound_k,
     word_parity,
 )
+
+from oracles import simulated_bundle_errors
 
 
 class TestHoeffdingK:
@@ -137,6 +140,18 @@ class TestSimulatedDecider:
         assert len(caches) == 1
         assert 0 < len(caches[0]) <= derand.SEED_HASHES
 
+    def test_search_asks_no_truth(self):
+        # the search counts a word's wrong seeds, and decide is truth ^ error
+        asked = []
+
+        def truth(word):
+            asked.append(word)
+            return word_parity(word)
+
+        result = find_universal_seeds(SimulatedDecider(truth, 0.3), 4, 2, 0.99, rng_seed=16)
+        assert result.success and result.attempts == 3
+        assert asked == []
+
     def test_truth_asked_once_per_vote(self):
         asked = collections.Counter()
 
@@ -145,11 +160,10 @@ class TestSimulatedDecider:
             return word_parity(word)
 
         d = SimulatedDecider(truth, 0.3)
-        result = find_universal_seeds(d, 4, 2, 0.99, rng_seed=16)
-        assert result.success and result.attempts == 3
-        # once when the vote first asks the word, once in count_bundle_errors
-        assert set(asked) == set(all_words(4, 2))
-        assert max(asked.values()) <= 2 * result.attempts
+        bundle = SeedBundle(tuple(range(45)))
+        for word in all_words(4, 2):
+            majority_vote(d, bundle, word)
+        assert asked == collections.Counter(all_words(4, 2))
 
     def test_bundle_past_the_seed_cache(self):
         # p = 0.49, n = 1: k = 6933 seeds, more than the cache holds, over two words
@@ -288,6 +302,43 @@ class TestCountBundleErrors:
         for p, bad in expected.items():
             assert count_bundle_errors(SimulatedDecider(word_parity, p), SeedBundle(seeds), 4, vocab) == bad
 
+    def test_subclass_is_asked_through_votes(self):
+        calls = []
+
+        class Counting(SimulatedDecider):
+            def decide(self, word, seed):
+                calls.append(word)
+                return super().decide(word, seed)
+
+        bundle = SeedBundle((3, -3, 2**64 + 3, 8, 9))
+        expected = count_bundle_errors(SimulatedDecider(word_parity, 0.45), bundle, 5, 2)
+        assert count_bundle_errors(Counting(word_parity, 0.45), bundle, 5, 2) == expected > 0
+        assert set(calls) == set(all_words(5, 2))
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        vocab=st.sampled_from((1, 2, 3)),
+        n=st.integers(1, 4),
+        p=st.one_of(st.sampled_from((0.0, 0.3, 0.45, 0.49)), st.floats(0.0, 0.5, exclude_max=True)),
+        pool=st.lists(st.integers(-(2**70), 2**70), min_size=1, max_size=4),
+        picks=st.lists(st.tuples(st.integers(0, 3), st.integers(-2, 2)), min_size=1, max_size=7),
+        parity=st.booleans(),
+        seed_hashes=st.sampled_from((None, 1, 2, 3)),
+        rng_seed=st.integers(0, 2**32),
+    )
+    def test_simulated_decider_matches_the_oracle(self, vocab, n, p, pool, picks, parity, seed_hashes, rng_seed):
+        # seeds repeat, and differ by multiples of 2^64; a small seed-hash bound splits the lanes into blocks
+        seeds = [pool[i % len(pool)] + shift * 2**64 for i, shift in picks]
+        seeds += seeds[-1:] * (1 - len(seeds) % 2)  # an odd bundle, ending in a repeat when one is added
+        truth = word_parity if parity else (lambda w: int(sum(w) % 3 == 0))
+        with mock.patch.object(derand, "SEED_HASHES", seed_hashes or derand.SEED_HASHES):
+            got = count_bundle_errors(SimulatedDecider(truth, p), SeedBundle(tuple(seeds)), n, vocab)
+            assert got == simulated_bundle_errors(truth, p, seeds, n, vocab)
+            result = find_universal_seeds(SimulatedDecider(truth, min(p, 0.35)), n, vocab, 0.5, rng_seed, 4)
+        if result.success:
+            assert result.per_attempt_errors[-1] == 0
+            assert simulated_bundle_errors(truth, min(p, 0.35), result.bundle.seeds, n, vocab) == 0
+
 
 class TestUnionBoundK:
     def test_formula(self):
@@ -347,6 +398,29 @@ class TestFindUniversalSeeds:
         d = SimulatedDecider(word_parity, 0.1)
         with pytest.raises(CapacityError):
             find_universal_seeds(d, n=30, vocab_size=2, delta_all=0.5, rng_seed=0)
+
+    def test_huge_input_space_refused_without_building_it(self):
+        d = SimulatedDecider(word_parity, 0.1)
+        with pytest.raises(CapacityError, match=r"^2\^20000 inputs exceeds budget 1048576$"):
+            find_universal_seeds(d, n=20000, vocab_size=2, delta_all=0.5, rng_seed=0)
+        # at vocab 2 the size is printed up to 2^128, as automata prints its table sizes
+        with pytest.raises(CapacityError, match=f"^2\\^128 = {2**128} inputs exceeds budget 1048576$"):
+            find_universal_seeds(d, n=128, vocab_size=2, delta_all=0.5, rng_seed=0)
+        with pytest.raises(CapacityError, match=r"^2\^129 inputs exceeds budget 1048576$"):
+            find_universal_seeds(d, n=129, vocab_size=2, delta_all=0.5, rng_seed=0)
+        with pytest.raises(CapacityError, match=f"^{2**300}\\^1 inputs exceeds budget 1048576$"):
+            find_universal_seeds(d, n=1, vocab_size=2**300, delta_all=0.5, rng_seed=0)
+
+    def test_word_length_budget_at_vocab_one(self, monkeypatch):
+        # 1^n = 1 input fits any budget, but hashing it costs n
+        d = SimulatedDecider(word_parity, 0.1)
+        with pytest.raises(CapacityError, match="^word length 1000000000 exceeds budget 1048576$"):
+            find_universal_seeds(d, n=10**9, vocab_size=1, delta_all=0.5, rng_seed=0)
+        monkeypatch.setattr(derand, "INPUT_BUDGET", 8)
+        with pytest.raises(CapacityError, match="^word length 9 exceeds budget 8$"):
+            find_universal_seeds(d, n=9, vocab_size=1, delta_all=0.5, rng_seed=0)
+        result = find_universal_seeds(d, n=8, vocab_size=1, delta_all=0.5, rng_seed=0)
+        assert (result.success, result.k, result.per_attempt_errors) == (True, 3, [0])
 
     def test_call_budget_enforced_before_any_seed(self):
         # as p nears 1/2 the bundle grows without bound; the search must refuse it, not draw it
