@@ -78,6 +78,9 @@ def _print_meter(meter: CostMeter, **extras) -> None:
 
 
 def cmd_ca(args) -> int:
+    # --rows has no argparse default, so a --config value is refused the same way as a flag
+    if args.rows is not None and args.row is not None:
+        raise ValueError("--rows and --row cannot be combined")
     tape = automata.parse_tape(args.tape)
     if args.cell is not None:
         if args.row is None:
@@ -86,9 +89,10 @@ def cmd_ca(args) -> int:
             raise ValueError("--k cannot be combined with --cell")
         print(automata.cell_at(args.rule, tape, args.row, args.cell))
         return EXIT_OK
-    if args.row is None and args.rows < 1:
+    rows = 1 if args.rows is None else args.rows
+    if args.row is None and rows < 1:
         raise ValueError("--rows must be >= 1")
-    steps = args.rows if args.row is None else args.row
+    steps = rows if args.row is None else args.row
     meter = CostMeter()
     if args.k is None:
         rounds = automata.plain_rounds(tape, args.rule, steps, meter)
@@ -220,7 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ca = sub.add_parser("ca", help="evolve an elementary cellular automaton")
     p_ca.add_argument("rule", type=int, help="rule number 0..255")
     p_ca.add_argument("tape", help="initial tape as a 0/1 string")
-    p_ca.add_argument("--rows", type=int, default=1, help="number of rows to evolve and print")
+    p_ca.add_argument("--rows", type=int, help="number of rows to evolve and print")
     p_ca.add_argument("--row", type=int, help="print only the tape after this many rows")
     p_ca.add_argument("--cell", type=int, help="with --row: print one cell on the centered light-cone frame")
     p_ca.add_argument("--k", type=int, help="advance k rows per compiled lookup round")

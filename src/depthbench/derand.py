@@ -23,9 +23,8 @@ _MASK64 = (1 << 64) - 1
 
 INPUT_BUDGET = 1 << 20  # max inputs, (word, seed) decisions and word length in one search attempt
 
-# seed hashes one SimulatedDecider keeps, and lanes in one packed int of count_bundle_errors:
-# a bundle of up to this many seeds is hashed once, not once per word; k passes it only
-# where vocab^n <= INPUT_BUDGET / 4096 = 256
+# lanes in one packed int of count_bundle_errors: a larger bundle spreads over several
+# ints, so the per-word pass's temporaries stay the same size however large k grows
 SEED_HASHES = 4096
 
 _WORD_HASH = 0x8BADF00D  # hash of the empty word; each token is mixed in after it
@@ -59,9 +58,8 @@ class SimulatedDecider:
 
     ``truth`` must be a pure function of the word: the decider keeps the
     last word asked with its hash and its truth, since a vote asks one word
-    of every seed in turn, and the hashes of at most ``SEED_HASHES`` seeds,
-    since every word of an attempt is asked of the same bundle; a larger
-    bundle empties them when full, so a seed past the bound costs one hash.
+    of every seed in turn, so a decision costs two hashes, the seed's and
+    the (word, seed) pair's.
     """
 
     def __init__(self, truth: Callable[[Word], int], p: float):
@@ -72,7 +70,6 @@ class SimulatedDecider:
         self._word: Word | None = None
         self._word_hash = 0
         self._word_truth = 0
-        self._seed_hashes: dict[int, int] = {}
 
     def decide(self, word: Word, seed: int) -> int:
         if word != self._word and tuple(word) != self._word:  # a list never equals the kept tuple
@@ -80,15 +77,7 @@ class SimulatedDecider:
             for tok in word:
                 h = _mix(h ^ (tok + 1))
             self._word, self._word_hash, self._word_truth = tuple(word), h, self.truth(word)
-        return self._word_truth ^ (_mix(self._word_hash ^ self._seed_hash(seed)) < self._threshold)
-
-    def _seed_hash(self, seed: int) -> int:
-        seed_hash = self._seed_hashes.get(seed)
-        if seed_hash is None:
-            if len(self._seed_hashes) == SEED_HASHES:  # a bundle past the bound starts over
-                self._seed_hashes.clear()
-            seed_hash = self._seed_hashes[seed] = _mix(seed & _MASK64)
-        return seed_hash
+        return self._word_truth ^ (_mix(self._word_hash ^ _mix(seed & _MASK64)) < self._threshold)
 
 
 @dataclass(frozen=True)
@@ -207,16 +196,17 @@ def _word_hashes(n: int, vocab_size: int) -> Iterator[int]:
 def _packed_misses(decider: SimulatedDecider, bundle: SeedBundle, n: int, vocab_size: int) -> int:
     """``count_bundle_errors`` for a ``SimulatedDecider``: all k decisions on a word in one pass.
 
-    Each seed hash sits in the low half of a 128-bit lane of one int, at most
-    ``SEED_HASHES`` lanes to an int, and ``_mix`` runs on every lane at once.
-    A shift's spill into the lane below is masked off before the next
-    multiply, and a product of two 64-bit numbers never leaves its lane.
-    Adding 2^64 - threshold to a lane sets its bit 64 iff the hash is at or
-    above the threshold, that is iff that seed's vote is the truth; since
-    ``decide`` is truth ^ error, a word is a miss iff fewer than k//2+1 lanes
-    vote the truth, and the truth itself is never asked.
+    The pass hashes each bundle seed once and reads nothing of the decider
+    but its threshold.  Each seed hash sits in the low half of a 128-bit lane
+    of one int, at most ``SEED_HASHES`` lanes to an int, and ``_mix`` runs on
+    every lane at once.  A shift's spill into the lane below is masked off
+    before the next multiply, and a product of two 64-bit numbers never
+    leaves its lane.  Adding 2^64 - threshold to a lane sets its bit 64 iff
+    the hash is at or above the threshold, that is iff that seed's vote is
+    the truth; since ``decide`` is truth ^ error, a word is a miss iff fewer
+    than k//2+1 lanes vote the truth, and the truth itself is never asked.
     """
-    hashes = [decider._seed_hash(s) for s in bundle.seeds]
+    hashes = [_mix(s & _MASK64) for s in bundle.seeds]
     carry = (1 << 64) - decider._threshold
     blocks = []
     for start in range(0, len(hashes), SEED_HASHES):
@@ -256,6 +246,14 @@ def count_bundle_errors(decider, bundle: SeedBundle, n: int, vocab_size: int) ->
     return bad
 
 
+def _decimal(x: int) -> str:
+    """``x`` in decimal, or its bit length where decimal would pass the interpreter's digit limit."""
+    try:
+        return str(x)
+    except ValueError:  # more digits than sys.get_int_max_str_digits() allows
+        return f"<{x.bit_length()}-bit number>"
+
+
 @dataclass
 class SeedSearchResult:
     """Outcome of a universal-seed search; ``bundle`` is None on failure."""
@@ -285,7 +283,8 @@ def find_universal_seeds(
     must all fit it, and a ``CapacityError`` is raised before any seed is
     drawn otherwise (k grows without bound as p nears 1/2; at vocab 1 there
     is one input of any length, but hashing it costs n).  vocab^n is built
-    only where it is below 2^256, so a huge one is refused as a power.
+    only where it is below 2^256, so a huge one is refused as a power, and
+    a vocab or n too long to write in decimal is named by its bit length.
     Failure after ``max_attempts`` returns a result with ``bundle=None`` and
     the full per-attempt error history.
     """
@@ -294,12 +293,12 @@ def find_universal_seeds(
     if max_attempts < 1:
         raise ValueError("max_attempts must be >= 1")
     if vocab_size > 1 and vocab_size.bit_length() * n > 256:  # vocab^n >= 2^128: far past the budget
-        raise CapacityError(f"{vocab_size}^{n} inputs exceeds budget {INPUT_BUDGET}")
+        raise CapacityError(f"{_decimal(vocab_size)}^{_decimal(n)} inputs exceeds budget {INPUT_BUDGET}")
     n_words = vocab_size**n
     if n_words > INPUT_BUDGET:
         raise CapacityError(f"{vocab_size}^{n} = {n_words} inputs exceeds budget {INPUT_BUDGET}")
     if n > INPUT_BUDGET:
-        raise CapacityError(f"word length {n} exceeds budget {INPUT_BUDGET}")
+        raise CapacityError(f"word length {_decimal(n)} exceeds budget {INPUT_BUDGET}")
     k = union_bound_k(n, vocab_size, delta_all, decider.p)
     if k * n_words > INPUT_BUDGET:
         raise CapacityError(

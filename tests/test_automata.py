@@ -163,6 +163,20 @@ def test_plain_and_compiled_runs_match_the_oracle(run):
     assert list(automata.compiled_rounds(tape, rule, rows, k)) == [naive_evolve(tape, rule, r) for r in ends]
 
 
+@settings(max_examples=200, deadline=None)
+@given(run=ca_runs())
+def test_cell_at_matches_the_oracle_on_its_frame(run):
+    # the frame is max(width, 2 * rows - 1) wide, the tape centred in zeros (one more zero right when odd)
+    rule, tape, _, rows = run
+    width = max(len(tape), 2 * rows - 1)
+    left = (width - len(tape)) // 2
+    frame = (0,) * left + tape + (0,) * (width - len(tape) - left)
+    assert tuple(cell_at(rule, tape, rows, i) for i in range(width)) == naive_evolve(frame, rule, rows)
+    for i in (-1, width):
+        with pytest.raises(ValueError, match=f"^cell index {i} outside width-{width} frame$"):
+            cell_at(rule, tape, rows, i)
+
+
 def test_evolve_compiled_depth_is_ceil():
     tape = tuple([0] * 63 + [1])
     m = CostMeter()

@@ -3,6 +3,7 @@
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from depthbench.bench import (
     CSV_HEADER,
@@ -28,6 +29,32 @@ BAD_CASES = [
     ({"family": "s5", "size": 8, "solver": "tree", "seed": True}, "seed"),
     ({"family": "ca", "size": 8, "solver": "plain", "params": {"rule": 90.9}}, "rule"),
 ]
+
+
+# the CSV's field and item separators, and every line break str.splitlines knows
+SEPARATORS = ",;=\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+
+# int-looking strings such as "10234" and "01234", text of signs, digits and quotes, and any text
+TEXTS = st.one_of(
+    st.integers(-(10**6), 10**6).map(str),
+    st.integers(0, 10**6).map(lambda i: f"0{i}"),
+    st.text(alphabet='ab0-+ "', max_size=6),
+    st.text(max_size=8),
+)
+RECORDS = st.lists(
+    st.builds(
+        BenchRecord,
+        TEXTS,
+        st.integers(),
+        TEXTS,
+        st.integers(),
+        st.integers(),
+        st.integers(),
+        st.integers(),
+        st.dictionaries(TEXTS, st.one_of(st.integers(), TEXTS), max_size=4),
+    ),
+    max_size=3,
+)
 
 
 def small_suite():
@@ -128,6 +155,16 @@ class TestCsv:
     def test_round_trip_exact(self):
         records = run_suite(small_suite())
         assert parse_csv(emit_csv(records)) == records
+
+    @settings(max_examples=200, deadline=None)
+    @given(records=RECORDS)
+    def test_drawn_records_round_trip_or_are_refused(self, records):
+        texts = [t for r in records for t in (r.family, r.solver, *r.aux, *r.aux.values()) if isinstance(t, str)]
+        if any(ch in SEPARATORS for t in texts for ch in t):
+            with pytest.raises(ValueError, match="holds a CSV separator"):
+                emit_csv(records)
+        else:
+            assert parse_csv(emit_csv(records)) == records
 
     def test_strings_quoted_only_where_needed(self):
         aux = {"a": "12", "b": "012", "c": "1.5", "d": '"x"', "e": '"', "f": "", "g": -3}

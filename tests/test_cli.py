@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import json
+import random
 
 import pytest
 
@@ -108,6 +109,25 @@ class TestCa:
         code, out, err = run(capsys, "ca", "110", "0110", *extra)
         assert (code, out) == (2, "")
         assert message in err
+
+    @pytest.mark.parametrize(
+        "flags, doc",
+        [
+            (["--rows", "5", "--row", "2"], None),
+            (["--rows", "1", "--row", "0", "--cell", "0"], None),
+            (["--row", "2"], {"rows": 5}),
+            (["--row", "2"], {"rows": 1}),
+            (["--rows", "5"], {"row": 2}),
+            ([], {"rows": 5, "row": 2}),
+        ],
+    )
+    def test_rows_and_row_refused(self, capsys, tmp_path, flags, doc):
+        # --row would print one tape and silently drop --rows, from a flag or from the config
+        if doc is not None:
+            cfg = tmp_path / "ca.json"
+            cfg.write_text(json.dumps(doc))
+            flags = [*flags, "--config", str(cfg)]
+        assert run(capsys, "ca", "110", "00100", *flags) == (2, "", "error: --rows and --row cannot be combined\n")
 
 
 class TestCvp:
@@ -294,6 +314,15 @@ class TestDerand:
     def test_bound_only(self, capsys):
         code, out, _ = run(capsys, "derand", "--bound-only", "--p", "0.3", "--delta", "0.01")
         assert (code, out) == (0, "59\n")
+
+    def test_readme_examples_byte_for_byte(self, capsys):
+        assert run(capsys, "derand", "--bound-only", "--p", "0.3", "--delta", "0.01") == (0, "59\n", "")
+        assert run(capsys, "derand", "--bound-only", "--p", "0.1", "--delta", "5e-324") == (0, "2327\n", "")
+        rng = random.Random(1)  # the search draws each bundle's 64-bit seeds from Random(--rng-seed)
+        seeds = ", ".join(str(rng.getrandbits(64)) for _ in range(45))
+        out = f'{{"attempts": 1, "k": 45, "per_attempt_errors": [0], "seeds": [{seeds}], "success": true}}\n'
+        argv = ["derand", "--p", "0.3", "--n", "4", "--vocab", "2", "--delta-all", "0.5", "--rng-seed", "1"]
+        assert run(capsys, *argv) == (0, out, "found universal bundle of 45 seeds in 1 attempts\n")
 
     def test_search_json_summary(self, capsys):
         code, out, err = run(capsys, "derand", "--n", "4", "--vocab", "2", "--p", "0.2", "--rng-seed", "5")

@@ -125,20 +125,16 @@ class TestSimulatedDecider:
             SimulatedDecider(word_parity, 0.5)
 
     def test_holds_at_most_one_word(self):
-        # state is one word with its hash and truth, plus at most SEED_HASHES seed hashes:
-        # nothing grows with the number of inputs a search checks
+        # state is one word with its hash and truth: nothing grows with the inputs or seeds checked
         d = SimulatedDecider(word_parity, 0.1)
-        assert find_universal_seeds(d, 10, 2, 0.5, rng_seed=0).success  # asks all 2^10 words
-        caches = []
+        result = find_universal_seeds(d, 10, 2, 0.5, rng_seed=0)  # checks all 2^10 words
+        assert result.success
+        for word in all_words(10, 2):
+            assert majority_vote(d, result.bundle, word) == word_parity(word)
         for name, value in vars(d).items():
-            if isinstance(value, dict):
-                caches.append(value)
-                continue
-            assert not isinstance(value, (list, set, frozenset)), name
+            assert not isinstance(value, (dict, list, set, frozenset)), name
             if isinstance(value, tuple):
-                assert len(value) == 10 and all(isinstance(tok, int) for tok in value), name
-        assert len(caches) == 1
-        assert 0 < len(caches[0]) <= derand.SEED_HASHES
+                assert value == (1,) * 10, name  # the last word voted on
 
     def test_search_asks_no_truth(self):
         # the search counts a word's wrong seeds, and decide is truth ^ error
@@ -166,7 +162,7 @@ class TestSimulatedDecider:
         assert asked == collections.Counter(all_words(4, 2))
 
     def test_bundle_past_the_seed_cache(self):
-        # p = 0.49, n = 1: k = 6933 seeds, more than the cache holds, over two words
+        # p = 0.49, n = 1: k = 6933 seeds, more than one packed int holds, over two words
         decisions = []
 
         class Recording:
@@ -186,9 +182,6 @@ class TestSimulatedDecider:
         assert result.k == 6933 > derand.SEED_HASHES
         assert len({seed for _, seed, _ in decisions}) > derand.SEED_HASHES
         assert all(SimulatedDecider(word_parity, 0.49).decide(w, s) == bit for w, s, bit in decisions)
-        caches = [value for value in vars(d.inner).values() if isinstance(value, dict)]
-        assert len(caches) == 1
-        assert 0 < len(caches[0]) <= derand.SEED_HASHES
 
     def test_word_given_as_a_list(self):
         asked = []
@@ -298,7 +291,7 @@ class TestCountBundleErrors:
         seeds = (-1, 2**64 - 1, 5, 2**70 + 5, 12345, 7, 7)
         expected = {p: full_count_errors(SimulatedDecider(word_parity, p), seeds, 4, vocab) for p in (0.2, 0.45)}
         assert expected[0.45] > 0
-        monkeypatch.setattr(derand, "SEED_HASHES", 3)  # the seed hashes are emptied within every vote
+        monkeypatch.setattr(derand, "SEED_HASHES", 3)  # the bundle spans three packed ints
         for p, bad in expected.items():
             assert count_bundle_errors(SimulatedDecider(word_parity, p), SeedBundle(seeds), 4, vocab) == bad
 
@@ -410,6 +403,16 @@ class TestFindUniversalSeeds:
             find_universal_seeds(d, n=129, vocab_size=2, delta_all=0.5, rng_seed=0)
         with pytest.raises(CapacityError, match=f"^{2**300}\\^1 inputs exceeds budget 1048576$"):
             find_universal_seeds(d, n=1, vocab_size=2**300, delta_all=0.5, rng_seed=0)
+
+    def test_number_too_long_for_decimal_named_by_bit_length(self):
+        # 10^5000 has more digits than int-to-string conversion allows by default
+        d = SimulatedDecider(word_parity, 0.1)
+        with pytest.raises(CapacityError, match=r"^<16610-bit number>\^1 inputs exceeds budget 1048576$"):
+            find_universal_seeds(d, n=1, vocab_size=10**5000, delta_all=0.5, rng_seed=0)
+        with pytest.raises(CapacityError, match=r"^2\^<16610-bit number> inputs exceeds budget 1048576$"):
+            find_universal_seeds(d, n=10**5000, vocab_size=2, delta_all=0.5, rng_seed=0)
+        with pytest.raises(CapacityError, match=r"^word length <16610-bit number> exceeds budget 1048576$"):
+            find_universal_seeds(d, n=10**5000, vocab_size=1, delta_all=0.5, rng_seed=0)
 
     def test_word_length_budget_at_vocab_one(self, monkeypatch):
         # 1^n = 1 input fits any budget, but hashing it costs n
