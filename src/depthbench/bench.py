@@ -79,74 +79,71 @@ def _random_bits(seed, n: int) -> tuple[int, ...]:
     return tuple(rng.randint(0, 1) for _ in range(n))
 
 
-def _run_ca(case: BenchCase, params: dict) -> tuple[CostMeter, dict]:
+# A runner generates its case's instance, then solves it against ``meter``
+# and returns the record's aux; it returns None when its family has no such solver.
+def _run_ca(case: BenchCase, params: dict, meter: CostMeter) -> dict | None:
     rule = params["rule"]
     tape = _random_bits(case.seed, params["width"])
-    meter = CostMeter()
     if case.solver == "plain":
         automata.evolve(tape, rule, case.size, meter)
-        return meter, {"table_size": 8}
+        return {"table_size": 8}
     if case.solver.startswith("compiled-k"):
         k = int(case.solver[len("compiled-k"):])
         automata.evolve_compiled(tape, rule, case.size, k, meter)
-        return meter, {"table_size": 1 << (2 * k + 1)}
-    raise BenchError(f"unsupported ca solver {case.solver!r}")
+        return {"table_size": 1 << (2 * k + 1)}
+    return None
 
 
-def _run_cvp(case: BenchCase, params: dict) -> tuple[CostMeter, dict]:
+def _run_cvp(case: BenchCase, params: dict, meter: CostMeter) -> dict | None:
     n_inputs = params["n_inputs"]
     circuit = random_circuit(case.seed, n_inputs, case.size, params["fanin_max"], params["majority_fraction"])
     bits = _random_bits(f"bits:{case.seed}", n_inputs)
-    meter = CostMeter()
     if case.solver == "serial":
         values = eval_serial(circuit, bits, meter)
     elif case.solver == "layered":
         values = eval_layered(circuit, bits, meter)
     else:
-        raise BenchError(f"unsupported cvp solver {case.solver!r}")
-    return meter, {"out": values[circuit.output]}
+        return None
+    return {"out": values[circuit.output]}
 
 
-def _run_s5(case: BenchCase, params: dict) -> tuple[CostMeter, dict]:
+def _run_s5(case: BenchCase, params: dict, meter: CostMeter) -> dict | None:
     word = s5.random_word(case.seed, case.size)
-    meter = CostMeter()
     if case.solver == "serial":
         product = s5.fold_serial(word, meter)
     elif case.solver == "tree":
         product = s5.fold_tree(word, meter)
     else:
-        raise BenchError(f"unsupported s5 solver {case.solver!r}")
-    return meter, {"product": s5.format_perm(product)}
+        return None
+    return {"product": s5.format_perm(product)}
 
 
-def _run_do1(case: BenchCase, params: dict) -> tuple[CostMeter, dict]:
+def _run_do1(case: BenchCase, params: dict, meter: CostMeter) -> dict | None:
     cfg = do1.random_alt_config(case.seed, params["n_inputs"], case.size, params["fanin_max"])
-    meter = CostMeter()
     if case.solver == "serial":
         eval_serial(cfg.circuit, cfg.bits, meter)
-        return meter, {"d1": do1.depth_of_one(cfg)}
+        return {"d1": do1.depth_of_one(cfg)}
     if case.solver == "probe":
         counting = do1.CountingOracle(do1.optimal_value)
         estimate = do1.extract_depth_of_one(cfg, counting)
         # probes all happen against independent states: one parallel round
         meter.charge(counting.calls, 1 if counting.calls else 0)
-        return meter, {"d1": do1.depth_of_one(cfg), "estimate": estimate, "probes": counting.calls}
-    raise BenchError(f"unsupported do1 solver {case.solver!r}")
+        return {"d1": do1.depth_of_one(cfg), "estimate": estimate, "probes": counting.calls}
+    return None
 
 
-def _run_derand(case: BenchCase, params: dict) -> tuple[CostMeter, dict]:
+def _run_derand(case: BenchCase, params: dict, meter: CostMeter) -> dict | None:
     if case.solver != "search":
-        raise BenchError(f"unsupported derand solver {case.solver!r}")
+        return None
     vocab = params["vocab"]
     decider = derand.SimulatedDecider(derand.word_parity, params["p"])
     result = derand.find_universal_seeds(
         decider, case.size, vocab, params["delta_all"], rng_seed=case.seed, max_attempts=params["max_attempts"]
     )
-    meter = CostMeter()
     # every attempt decides all k seeds of each input, in one round: the
     # SimulatedDecider's search makes exactly these k·vocab^n (word, seed) hashes
     meter.charge(result.attempts * (vocab**case.size) * result.k, result.attempts)
-    return meter, {"k": result.k, "attempts": result.attempts, "found": int(result.success)}
+    return {"k": result.k, "attempts": result.attempts, "found": int(result.success)}
 
 
 _RUNNERS = {
@@ -163,18 +160,21 @@ def _error_slug(exc: Exception) -> str:
 
 
 def run_case(case: BenchCase) -> BenchRecord:
-    """Run one case; any failure becomes an error record instead of propagating."""
+    """Run one case; any failure becomes an error record, with no work or depth, instead of propagating."""
     start = time.perf_counter_ns()
+    meter = CostMeter()
     try:
         runner = _RUNNERS.get(case.family)
         if runner is None:
             raise BenchError(f"unsupported family {case.family!r}")
-        meter, aux = runner(case, family_params(case.family, case.params))
+        aux = runner(case, family_params(case.family, case.params), meter)
+        if aux is None:
+            raise BenchError(f"unsupported {case.family} solver {case.solver!r}")
+        work, depth = meter.work, meter.depth
     except Exception as exc:
-        wall = time.perf_counter_ns() - start
-        return BenchRecord(case.family, case.size, case.solver, case.seed, 0, 0, wall, {"error": _error_slug(exc)})
+        work, depth, aux = 0, 0, {"error": _error_slug(exc)}
     wall = time.perf_counter_ns() - start
-    return BenchRecord(case.family, case.size, case.solver, case.seed, meter.work, meter.depth, wall, aux)
+    return BenchRecord(case.family, case.size, case.solver, case.seed, work, depth, wall, aux)
 
 
 def run_suite(cases: list[BenchCase]) -> list[BenchRecord]:
@@ -251,18 +251,11 @@ def parse_csv(text: str) -> list[BenchRecord]:
     return records
 
 
-def _extra_columns(family: str) -> list[str]:
-    if family == "ca":
-        return ["table_size"]
-    if family == "s5":
-        return ["memorization"]
-    return []
-
-
-def _report_cell(family: str, column: str, r: BenchRecord) -> str:
-    if family == "s5" and column == "memorization":
-        return f"e^({r.size} ln 120) ~ 10^{s5.memorization_log10(r.size):.1f}"
-    return str(r.aux.get(column, "-"))
+# The report's extra columns per family: each column's header and how a record fills it.
+_REPORT_COLUMNS = {
+    "ca": {"table_size": lambda r: str(r.aux.get("table_size", "-"))},
+    "s5": {"memorization": lambda r: f"e^({r.size} ln 120) ~ 10^{s5.memorization_log10(r.size):.1f}"},
+}
 
 
 def emit_report(records: list[BenchRecord]) -> str:
@@ -281,14 +274,14 @@ def emit_report(records: list[BenchRecord]) -> str:
             sections.append("(no records)")
             sections.append("")
             continue
-        header = ["size", "solver", "work", "depth"] + _extra_columns(family)
+        extra = _REPORT_COLUMNS.get(family, {})
+        header = ["size", "solver", "work", "depth", *extra]
         table = [header]
         for r in rows:
             if "error" in r.aux:
-                table.append([str(r.size), r.solver, "ERROR", r.aux["error"]] + ["-"] * len(_extra_columns(family)))
+                table.append([str(r.size), r.solver, "ERROR", r.aux["error"]] + ["-"] * len(extra))
             else:
-                base = [str(r.size), r.solver, str(r.work), str(r.depth)]
-                table.append(base + [_report_cell(family, col, r) for col in _extra_columns(family)])
+                table.append([str(r.size), r.solver, str(r.work), str(r.depth)] + [cell(r) for cell in extra.values()])
         widths = [max(len(row[i]) for row in table) for i in range(len(header))]
         for row in table:
             sections.append("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip())

@@ -72,6 +72,11 @@ def _config_defaults(parser: argparse.ArgumentParser, path: str) -> dict:
     return defaults
 
 
+def _first_given(args, dests) -> str | None:
+    """The flag spelling of the first of ``dests`` set by a flag or a config key, else None."""
+    return next((f"--{dest.replace('_', '-')}" for dest in dests if getattr(args, dest) is not None), None)
+
+
 def _print_meter(meter: CostMeter, **extras) -> None:
     tail = "".join(f" {k}={v}" for k, v in extras.items())
     print(f"meter: work={meter.work} depth={meter.depth}{tail}", file=sys.stderr)
@@ -117,11 +122,15 @@ def cmd_cvp(args) -> int:
 
 
 def cmd_s5(args) -> int:
+    # --n and --seed have no argparse default, so a --config value is refused the same way as a flag
     if args.words is not None:
+        given = _first_given(args, ("n", "seed"))
+        if given is not None:
+            raise ValueError(f"--words and {given} cannot be combined")
         with open(args.words, "r", encoding="utf-8") as fh:
             word = s5.parse_words(fh.read())
     else:
-        word = s5.random_word(args.seed, args.n)
+        word = s5.random_word(0 if args.seed is None else args.seed, 16 if args.n is None else args.n)
     meter = CostMeter()
     if args.fold == "serial":
         product = s5.fold_serial(word, meter)
@@ -166,11 +175,21 @@ def cmd_do1(args) -> int:
 
 
 def cmd_derand(args) -> int:
+    # a flag of one mode has no argparse default, so a --config value is refused the same way as a flag
+    search = {"n": 8, "vocab": 2, "delta_all": 0.5, "rng_seed": 0, "max_attempts": 32}
     if args.bound_only:
-        print(derand.hoeffding_k(args.p, args.delta))
+        given = _first_given(args, search)
+        if given is not None:
+            raise ValueError(f"--bound-only and {given} cannot be combined")
+        print(derand.hoeffding_k(args.p, 0.01 if args.delta is None else args.delta))
         return EXIT_OK
+    if args.delta is not None:
+        raise ValueError("--delta needs --bound-only")
+    n, vocab, delta_all, rng_seed, max_attempts = (
+        default if getattr(args, dest) is None else getattr(args, dest) for dest, default in search.items()
+    )
     decider = derand.SimulatedDecider(derand.word_parity, args.p)
-    result = derand.find_universal_seeds(decider, args.n, args.vocab, args.delta_all, args.rng_seed, args.max_attempts)
+    result = derand.find_universal_seeds(decider, n, vocab, delta_all, rng_seed, max_attempts)
     print(
         json.dumps(
             {
@@ -239,8 +258,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_s5 = sub.add_parser("s5", help="fold a word of 5-point permutations")
     p_s5.add_argument("--fold", choices=("serial", "tree"), default="serial", help="fold strategy")
-    p_s5.add_argument("--n", type=int, default=16, help="random word length")
-    p_s5.add_argument("--seed", type=int, default=0, help="random word seed")
+    p_s5.add_argument("--n", type=int, help="random word length")
+    p_s5.add_argument("--seed", type=int, help="random word seed")
     p_s5.add_argument("--words", help="file of 5-digit image strings, one per line")
     add_config(p_s5)
     p_s5.set_defaults(func=cmd_s5)
@@ -258,12 +277,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_der = sub.add_parser("derand", help="majority-vote replication and universal-seed search")
     p_der.add_argument("--p", type=float, default=0.3, help="decider error bound, 0 <= p < 1/2")
     p_der.add_argument("--bound-only", action="store_true", help="print the Hoeffding replication count")
-    p_der.add_argument("--delta", type=float, default=0.01, help="per-input failure target for --bound-only")
-    p_der.add_argument("--n", type=int, default=8, help="word length for the seed search")
-    p_der.add_argument("--vocab", type=int, default=2, help="token alphabet size")
-    p_der.add_argument("--delta-all", type=float, default=0.5, help="union-bound failure target over all inputs")
-    p_der.add_argument("--rng-seed", type=int, default=0, help="search randomness seed")
-    p_der.add_argument("--max-attempts", type=int, default=32, help="bundle draws before giving up")
+    p_der.add_argument("--delta", type=float, help="per-input failure target for --bound-only")
+    p_der.add_argument("--n", type=int, help="word length for the seed search")
+    p_der.add_argument("--vocab", type=int, help="token alphabet size")
+    p_der.add_argument("--delta-all", type=float, help="union-bound failure target over all inputs")
+    p_der.add_argument("--rng-seed", type=int, help="search randomness seed")
+    p_der.add_argument("--max-attempts", type=int, help="bundle draws before giving up")
     add_config(p_der)
     p_der.set_defaults(func=cmd_derand)
 

@@ -1,12 +1,16 @@
 """Suite runner determinism, CSV round trips, and the two-path report."""
 
+import json
 import math
+import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from depthbench.bench import (
     CSV_HEADER,
+    FAMILY_PARAMS,
     BenchCase,
     BenchRecord,
     default_suite,
@@ -130,6 +134,22 @@ class TestRunners:
             rec = run_case(BenchCase(family, 4, "warp", seed=0))
             assert rec.aux == {"error": f"BenchError_unsupported_{family}_solver_warp"}, family
             assert rec.work == rec.depth == 0, family
+
+    @pytest.mark.parametrize(
+        "case, slug",
+        [
+            # a bad param, then a failed generation, comes before an unknown solver
+            (BenchCase("ca", 4, "warp", 0, {"widht": 8}), "BenchError_unknown_ca_param_widht_allowed_rule_width"),
+            (BenchCase("s5", 0, "warp", 0), "ValueError_word_length_must_be_1"),
+            (BenchCase("cvp", 0, "warp", 0), "ValueError_n_inputs_n_gates_and_fanin_max_must_all_be_1"),
+            (BenchCase("ca", 4, "compiled-kx", 0), "ValueError_invalid_literal_for_int_with_base_10_x"),
+            # derand refuses its solver before any search
+            (BenchCase("derand", 40, "warp", 0, {"p": 0.7}), "BenchError_unsupported_derand_solver_warp"),
+        ],
+    )
+    def test_first_fault_names_the_error_record(self, case, slug):
+        rec = run_case(case)
+        assert (rec.work, rec.depth, rec.aux) == (0, 0, {"error": slug})
 
     def test_unknown_family_yields_error_record(self):
         rec = run_case(BenchCase("quantum", 4, "serial", seed=0))
@@ -274,6 +294,21 @@ class TestSuiteConfig:
             load_suite({"cases": [{"family": "s5", "size": 8, "solver": "tree", "params": {"rule": 90}}]})
         with pytest.raises(ValueError, match="'params' must be a JSON object"):
             load_suite({"cases": [{"family": "ca", "size": 8, "solver": "plain", "params": [["rule", 90]]}]})
+
+    def test_readme_params_table_matches_family_params(self):
+        # README's table is the only statement of each family's params and defaults outside the code
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        rows = re.findall(r"^\| `(\w+)` +\| (.+?) \|$", readme[readme.index("### bench"):], re.M)
+        documented = {}
+        for family, cell in rows:
+            items = [] if cell == "none" else [re.fullmatch(r"`(\w+)` \[(.+)\]", item) for item in cell.split(", ")]
+            assert all(items), cell
+            documented[family] = {m[1]: json.loads(m[2]) for m in items}
+
+        def typed(table):
+            return [(family, [(k, type(v), v) for k, v in params.items()]) for family, params in table.items()]
+
+        assert typed(documented) == typed(FAMILY_PARAMS)
 
     def test_unknown_family_params_left_to_run_time(self):
         case = load_suite({"cases": [{"family": "quantum", "size": 4, "solver": "serial", "params": {"x": 1}}]})[0]

@@ -15,8 +15,18 @@ from test_bench import BAD_CASES
 
 # sha256 of the default sweep's CSV without wall_ns: the meter columns the sweep reports
 SWEEP_DIGEST = "514787fb6b6a25b46656795d59d0af8c3959c173d766e2084d2f9cdbee7e23d2"
+# sha256 of the default sweep's report, which holds no wall time
+REPORT_DIGEST = "e8244041bbc0491952d5cc364ee26bafd90313b6b462b60e6275c76b3fb2857d"
 
 CHAIN5 = "const 0 1\nor 1 0\nand 2 1\nor 3 2\nand 4 3\nor 5 4\noutput 5\n"
+
+
+README_SUITE = """{"cases": [
+  {"family": "ca",  "size": 64, "solver": "plain",       "seed": 7, "params": {"rule": 110}},
+  {"family": "ca",  "size": 64, "solver": "compiled-k2", "seed": 7, "params": {"rule": 110}},
+  {"family": "s5",  "size": 256, "solver": "tree",       "seed": 3}
+]}
+"""
 
 
 def strip_wall(csv_text: str) -> str:
@@ -65,6 +75,21 @@ class TestCa:
             assert out == "".join(automata.format_tape(tapes[r]) + "\n" for r in shown), argv
             meter = f"meter: work={len(tape) * len(reached)} depth={len(reached)}"
             assert err == (meter if k is None else f"{meter} table_size={1 << (2 * k + 1)}") + "\n", argv
+
+    @pytest.mark.parametrize(
+        "argv, out, err",
+        [
+            (["00100", "--rows", "3"], "01100\n11100\n10100\n", "meter: work=15 depth=3\n"),
+            (
+                ["0000000010000000", "--rows", "12", "--k", "3"],
+                "0000011010000000\n0011100110000000\n1000001110000000\n1001100010000000\n",
+                "meter: work=64 depth=4 table_size=128\n",
+            ),
+            (["1", "--row", "3", "--cell", "4"], "0\n", ""),
+        ],
+    )
+    def test_readme_examples_byte_for_byte(self, capsys, argv, out, err):
+        assert run(capsys, "ca", "110", *argv) == (0, out, err)
 
     @pytest.mark.parametrize("flag", ["--rows", "--row"])
     def test_k_below_one_is_usage_error(self, capsys, flag):
@@ -139,6 +164,11 @@ class TestCvp:
         code, out, _ = run(capsys, "cvp", str(net), "0")
         assert (code, out) == (0, "1\n")
 
+    def test_readme_example_byte_for_byte(self, capsys, tmp_path):
+        net = tmp_path / "demo.nl"
+        net.write_text("input 0\ninput 1\ninput 2\nand 3 0 1\nor 4 3 2\noutput 4\n")
+        assert run(capsys, "cvp", str(net), "101") == (0, "1\n", "")
+
     def test_parse_error_cites_line(self, capsys, tmp_path):
         net = tmp_path / "bad.net"
         net.write_text("input 0\nxor 1 0 0\noutput 1\n")
@@ -165,6 +195,34 @@ class TestS5:
         path.write_text("10234\n10234\n")
         code, out, _ = run(capsys, "s5", "--words", str(path))
         assert (code, out) == (0, "01234\n")
+
+    @pytest.mark.parametrize(
+        "flags, doc, flag",
+        [
+            (["--n", "3", "--seed", "5"], None, "--n"),
+            (["--seed", "0"], None, "--seed"),
+            ([], {"n": 16}, "--n"),
+            (["--seed", "5"], {"n": 3}, "--n"),
+            ([], {"seed": 0}, "--seed"),
+            ([], {"words": "WORDS", "seed": 5}, "--seed"),
+        ],
+    )
+    def test_words_refuses_n_and_seed(self, capsys, tmp_path, flags, doc, flag):
+        # a word file is the whole word, so --n and --seed would be silently ignored
+        path = tmp_path / "word.txt"
+        path.write_text("10234\n10234\n")
+        words = [] if doc and "words" in doc else ["--words", str(path)]
+        if doc is not None:
+            cfg = tmp_path / "s5.json"
+            cfg.write_text(json.dumps({k: str(path) if v == "WORDS" else v for k, v in doc.items()}))
+            flags = [*flags, "--config", str(cfg)]
+        assert run(capsys, "s5", *words, *flags) == (2, "", f"error: --words and {flag} cannot be combined\n")
+
+    def test_n_and_seed_defaults_from_config(self, capsys, tmp_path):
+        cfg = tmp_path / "s5.json"
+        cfg.write_text(json.dumps({"n": 6, "seed": 42}))
+        assert run(capsys, "s5", "--config", str(cfg)) == run(capsys, "s5", "--n", "6", "--seed", "42")
+        assert run(capsys, "s5") == run(capsys, "s5", "--n", "16", "--seed", "0")
 
     def test_readme_example(self, capsys):
         # README's s5 example, byte for byte
@@ -324,6 +382,44 @@ class TestDerand:
         argv = ["derand", "--p", "0.3", "--n", "4", "--vocab", "2", "--delta-all", "0.5", "--rng-seed", "1"]
         assert run(capsys, *argv) == (0, out, "found universal bundle of 45 seeds in 1 attempts\n")
 
+    @pytest.mark.parametrize(
+        "flags, doc, first",
+        [
+            (["--bound-only", "--n", "4", "--vocab", "3", "--rng-seed", "2"], None, "--n"),
+            (["--bound-only", "--max-attempts", "1", "--vocab", "2"], None, "--vocab"),
+            (["--bound-only", "--delta-all", "0.5"], None, "--delta-all"),
+            (["--bound-only", "--rng-seed", "0"], None, "--rng-seed"),
+            (["--bound-only", "--max-attempts", "32"], None, "--max-attempts"),
+            (["--bound-only"], {"max-attempts": 3, "delta-all": 0.5}, "--delta-all"),
+            ([], {"bound-only": True, "n": 8}, "--n"),
+        ],
+    )
+    def test_bound_only_refuses_search_flags(self, capsys, tmp_path, flags, doc, first):
+        # --bound-only never searches, so a search flag would be silently ignored
+        if doc is not None:
+            cfg = tmp_path / "derand.json"
+            cfg.write_text(json.dumps(doc))
+            flags = [*flags, "--config", str(cfg)]
+        assert run(capsys, "derand", *flags) == (2, "", f"error: --bound-only and {first} cannot be combined\n")
+
+    @pytest.mark.parametrize(
+        "flags, doc",
+        [(["--n", "4", "--delta", "0.5"], None), (["--delta", "0.01"], None), (["--n", "4"], {"delta": 0.5})],
+    )
+    def test_search_refuses_delta(self, capsys, tmp_path, flags, doc):
+        # the search's failure target is --delta-all
+        if doc is not None:
+            cfg = tmp_path / "derand.json"
+            cfg.write_text(json.dumps(doc))
+            flags = [*flags, "--config", str(cfg)]
+        assert run(capsys, "derand", *flags) == (2, "", "error: --delta needs --bound-only\n")
+
+    def test_omitted_flags_keep_their_defaults(self, capsys):
+        bound = run(capsys, "derand", "--bound-only", "--p", "0.3", "--delta", "0.01")
+        assert run(capsys, "derand", "--bound-only") == bound
+        search = ["--p", "0.3", "--n", "8", "--vocab", "2", "--delta-all", "0.5", "--rng-seed", "0"]
+        assert run(capsys, "derand") == run(capsys, "derand", *search, "--max-attempts", "32")
+
     def test_search_json_summary(self, capsys):
         code, out, err = run(capsys, "derand", "--n", "4", "--vocab", "2", "--p", "0.2", "--rng-seed", "5")
         assert code == 0
@@ -386,6 +482,22 @@ class TestBench:
         assert len(lines) == 3
         assert "ran 2 cases (0 errors)" in err
 
+    def test_readme_example_byte_for_byte(self, capsys, tmp_path):
+        cfg = tmp_path / "suite.json"
+        cfg.write_text(README_SUITE)
+        report = tmp_path / "report.txt"
+        code, out, err = run(capsys, "bench", "--config", str(cfg), "--csv", "-", "--report", str(report))
+        rows = [line.split(",") for line in out.splitlines()]
+        masked = "".join(",".join(row) + "\n" for row in [rows[0], *([*row[:6], "...", *row[7:]] for row in rows[1:])])
+        assert (code, masked, err) == (
+            0,
+            "family,size,solver,seed,work,depth,wall_ns,aux\n"
+            "ca,64,plain,7,4096,64,...,table_size=8\n"
+            "ca,64,compiled-k2,7,2048,32,...,table_size=32\n"
+            's5,256,tree,3,255,8,...,product="24013"\n',
+            "ran 3 cases (0 errors)\n",
+        )
+
     def test_csv_and_report_files(self, capsys, tmp_path):
         suite = {"cases": [{"family": "ca", "size": 8, "solver": "compiled-k2", "seed": 2}]}
         cfg = tmp_path / "suite.json"
@@ -445,7 +557,7 @@ class TestBench:
         code, out, err = run(capsys, "bench", "--csv", str(csv_path), "--report", str(report_path))
         assert (code, out) == (0, "")
         assert csv_path.read_text().startswith("family,size,solver,seed,work,depth,wall_ns,aux\n")
-        assert "== family ca ==" in report_path.read_text()
+        assert hashlib.sha256(report_path.read_text().encode()).hexdigest() == REPORT_DIGEST
         assert "(0 errors)" in err
 
     @pytest.mark.parametrize("cases", [None, 5, {}])
