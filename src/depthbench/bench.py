@@ -88,7 +88,10 @@ def _run_ca(case: BenchCase, params: dict, meter: CostMeter) -> dict | None:
         automata.evolve(tape, rule, case.size, meter)
         return {"table_size": 8}
     if case.solver.startswith("compiled-k"):
-        k = int(case.solver[len("compiled-k"):])
+        suffix = case.solver[len("compiled-k"):]
+        k = int(suffix)
+        if str(k) != suffix:  # one name per solver: K only as str(k) writes it
+            return None
         automata.evolve_compiled(tape, rule, case.size, k, meter)
         return {"table_size": 1 << (2 * k + 1)}
     return None

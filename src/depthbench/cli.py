@@ -45,15 +45,18 @@ def _config_value(action: argparse.Action, key: str, value):
     return value
 
 
-def _config_defaults(parser: argparse.ArgumentParser, path: str) -> dict:
-    """Map a JSON config's keys, spelt like the flags without ``--``, to typed ``parser`` defaults.
+def _config_values(parser: argparse.ArgumentParser, path: str) -> dict:
+    """Map a JSON config's keys, spelt like the flags without ``--``, to typed values by dest.
 
     A key that is neither a flag of the subcommand nor one of its
     ``config_only`` keys (bench's ``cases``) is an error, and so is a value
     the flag itself would not accept.
     """
     with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except RecursionError:
+            raise ValueError("config file nests too deeply") from None
     if not isinstance(doc, dict):
         raise ValueError("config file must hold a JSON object")
     actions = {opt[2:]: a for opt, a in parser._option_string_actions.items() if opt.startswith("--")}
@@ -63,13 +66,10 @@ def _config_defaults(parser: argparse.ArgumentParser, path: str) -> dict:
     if unknown:
         allowed = ", ".join(sorted([*actions, *config_only]))
         raise ValueError(f"unknown config key {unknown[0]!r} for {parser.prog} (allowed: {allowed})")
-    defaults = {}
-    for key, value in doc.items():
-        if key in config_only:
-            defaults[key] = value
-        else:
-            defaults[actions[key].dest] = _config_value(actions[key], key, value)
-    return defaults
+    return {
+        key.replace("-", "_"): value if key in config_only else _config_value(actions[key], key, value)
+        for key, value in doc.items()
+    }
 
 
 def _first_given(args, dests) -> str | None:
@@ -83,15 +83,16 @@ def _print_meter(meter: CostMeter, **extras) -> None:
 
 
 def cmd_ca(args) -> int:
-    # --rows has no argparse default, so a --config value is refused the same way as a flag
     if args.rows is not None and args.row is not None:
         raise ValueError("--rows and --row cannot be combined")
     tape = automata.parse_tape(args.tape)
+    if args.cell is not None and args.row is None:
+        raise ValueError("--cell requires --row")
+    if args.cell is not None and args.k is not None:
+        raise ValueError("--k cannot be combined with --cell")
+    if args.row is not None and args.row < 0:
+        raise ValueError("--row must be >= 0")
     if args.cell is not None:
-        if args.row is None:
-            raise ValueError("--cell requires --row")
-        if args.k is not None:
-            raise ValueError("--k cannot be combined with --cell")
         print(automata.cell_at(args.rule, tape, args.row, args.cell))
         return EXIT_OK
     rows = 1 if args.rows is None else args.rows
@@ -122,7 +123,6 @@ def cmd_cvp(args) -> int:
 
 
 def cmd_s5(args) -> int:
-    # --n and --seed have no argparse default, so a --config value is refused the same way as a flag
     if args.words is not None:
         given = _first_given(args, ("n", "seed"))
         if given is not None:
@@ -132,17 +132,16 @@ def cmd_s5(args) -> int:
     else:
         word = s5.random_word(0 if args.seed is None else args.seed, 16 if args.n is None else args.n)
     meter = CostMeter()
-    if args.fold == "serial":
-        product = s5.fold_serial(word, meter)
-    else:
+    if args.fold == "tree":
         product = s5.fold_tree(word, meter)
+    else:
+        product = s5.fold_serial(word, meter)
     print(s5.format_perm(product))
     _print_meter(meter)
     return EXIT_OK
 
 
 def cmd_do1(args) -> int:
-    # checked here rather than by argparse, so a --config value is refused the same way as a flag
     if args.exact_oracle and args.noise is not None:
         raise ValueError("--exact-oracle and --noise cannot be combined")
     if not args.extract and (args.exact_oracle or args.noise is not None):
@@ -175,20 +174,20 @@ def cmd_do1(args) -> int:
 
 
 def cmd_derand(args) -> int:
-    # a flag of one mode has no argparse default, so a --config value is refused the same way as a flag
+    p = 0.3 if args.p is None else args.p
     search = {"n": 8, "vocab": 2, "delta_all": 0.5, "rng_seed": 0, "max_attempts": 32}
     if args.bound_only:
         given = _first_given(args, search)
         if given is not None:
             raise ValueError(f"--bound-only and {given} cannot be combined")
-        print(derand.hoeffding_k(args.p, 0.01 if args.delta is None else args.delta))
+        print(derand.hoeffding_k(p, 0.01 if args.delta is None else args.delta))
         return EXIT_OK
     if args.delta is not None:
         raise ValueError("--delta needs --bound-only")
     n, vocab, delta_all, rng_seed, max_attempts = (
         default if getattr(args, dest) is None else getattr(args, dest) for dest, default in search.items()
     )
-    decider = derand.SimulatedDecider(derand.word_parity, args.p)
+    decider = derand.SimulatedDecider(derand.word_parity, p)
     result = derand.find_universal_seeds(decider, n, vocab, delta_all, rng_seed, max_attempts)
     print(
         json.dumps(
@@ -212,14 +211,15 @@ def cmd_derand(args) -> int:
 def cmd_bench(args) -> int:
     # no "cases" key at all runs the default sweep; a present but non-array one is refused by load_suite
     cases = bench.load_suite({"cases": args.cases}) if hasattr(args, "cases") else bench.default_suite()
-    if args.csv != "-" and args.report is not None and os.path.realpath(args.csv) == os.path.realpath(args.report):
-        raise ValueError(f"--csv and --report name the same file {args.csv!r}")
+    csv = "-" if args.csv is None else args.csv
+    if csv != "-" and args.report is not None and os.path.realpath(csv) == os.path.realpath(args.report):
+        raise ValueError(f"--csv and --report name the same file {csv!r}")
     with contextlib.ExitStack() as stack:
         # open both outputs before the sweep, so an unwritable path exits 2 before any case runs
         def output(path):
             return sys.stdout if path == "-" else stack.enter_context(open(path, "w", encoding="utf-8"))
 
-        csv_out, report_out = output(args.csv), None if args.report is None else output(args.report)
+        csv_out, report_out = output(csv), None if args.report is None else output(args.report)
         records = bench.run_suite(cases)
         csv_out.write(bench.emit_csv(records))
         if report_out is not None:
@@ -232,13 +232,15 @@ def cmd_bench(args) -> int:
     return EXIT_INTERNAL if failed else EXIT_OK
 
 
+# Every optional flag parses to None when absent and its command applies the default, so main
+# fills exactly the unset flags from --config, and a misused flag is refused from either source.
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="depthbench", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_config(p, *config_only):
+    def add_common(p, func, *config_only):
         p.add_argument("--config", help="JSON config; keys mirror flag names")
-        p.set_defaults(subparser=p, config_only=config_only)
+        p.set_defaults(func=func, subparser=p, config_only=config_only)
 
     p_ca = sub.add_parser("ca", help="evolve an elementary cellular automaton")
     p_ca.add_argument("rule", type=int, help="rule number 0..255")
@@ -247,52 +249,46 @@ def build_parser() -> argparse.ArgumentParser:
     p_ca.add_argument("--row", type=int, help="print only the tape after this many rows")
     p_ca.add_argument("--cell", type=int, help="with --row: print one cell on the centered light-cone frame")
     p_ca.add_argument("--k", type=int, help="advance k rows per compiled lookup round")
-    add_config(p_ca)
-    p_ca.set_defaults(func=cmd_ca)
+    add_common(p_ca, cmd_ca)
 
     p_cvp = sub.add_parser("cvp", help="evaluate a netlist circuit")
     p_cvp.add_argument("netlist", help="path to a netlist file")
     p_cvp.add_argument("assignment", nargs="?", default="", help="input bits as a 0/1 string")
-    add_config(p_cvp)
-    p_cvp.set_defaults(func=cmd_cvp)
+    add_common(p_cvp, cmd_cvp)
 
     p_s5 = sub.add_parser("s5", help="fold a word of 5-point permutations")
-    p_s5.add_argument("--fold", choices=("serial", "tree"), default="serial", help="fold strategy")
+    p_s5.add_argument("--fold", choices=("serial", "tree"), help="fold strategy")
     p_s5.add_argument("--n", type=int, help="random word length")
     p_s5.add_argument("--seed", type=int, help="random word seed")
     p_s5.add_argument("--words", help="file of 5-digit image strings, one per line")
-    add_config(p_s5)
-    p_s5.set_defaults(func=cmd_s5)
+    add_common(p_s5, cmd_s5)
 
     p_do1 = sub.add_parser("do1", help="depth-of-one of an alternating circuit")
     p_do1.add_argument("netlist", help="path to an alternating-circuit netlist")
     p_do1.add_argument("assignment", nargs="?", default="", help="input bits as a 0/1 string")
-    p_do1.add_argument("--extract", action="store_true", help="estimate via value probes instead")
-    p_do1.add_argument("--exact-oracle", action="store_true", help="probe the exact state values")
+    p_do1.add_argument("--extract", action="store_true", default=None, help="estimate via value probes instead")
+    p_do1.add_argument("--exact-oracle", action="store_true", default=None, help="probe the exact state values")
     p_do1.add_argument("--noise", type=float, help="probe values scaled by noise in [EPS, 1]")
     p_do1.add_argument("--seed", type=int, help="noise seed for --noise (default 0)")
-    add_config(p_do1)
-    p_do1.set_defaults(func=cmd_do1)
+    add_common(p_do1, cmd_do1)
 
     p_der = sub.add_parser("derand", help="majority-vote replication and universal-seed search")
-    p_der.add_argument("--p", type=float, default=0.3, help="decider error bound, 0 <= p < 1/2")
-    p_der.add_argument("--bound-only", action="store_true", help="print the Hoeffding replication count")
+    p_der.add_argument("--p", type=float, help="decider error bound, 0 <= p < 1/2")
+    p_der.add_argument("--bound-only", action="store_true", default=None, help="print the Hoeffding replication count")
     p_der.add_argument("--delta", type=float, help="per-input failure target for --bound-only")
     p_der.add_argument("--n", type=int, help="word length for the seed search")
     p_der.add_argument("--vocab", type=int, help="token alphabet size")
     p_der.add_argument("--delta-all", type=float, help="union-bound failure target over all inputs")
     p_der.add_argument("--rng-seed", type=int, help="search randomness seed")
     p_der.add_argument("--max-attempts", type=int, help="bundle draws before giving up")
-    add_config(p_der)
-    p_der.set_defaults(func=cmd_derand)
+    add_common(p_der, cmd_derand)
 
     p_bench = sub.add_parser(
         "bench", help="run the default sweep, or the cases of a --config suite; exit 1 if a case fails"
     )
-    p_bench.add_argument("--csv", default="-", help="CSV output path, or - for stdout")
+    p_bench.add_argument("--csv", help="CSV output path, or - for stdout")
     p_bench.add_argument("--report", help="text report path, or - for stdout")
-    add_config(p_bench, "cases")
-    p_bench.set_defaults(func=cmd_bench)
+    add_common(p_bench, cmd_bench, "cases")
 
     return parser
 
@@ -302,9 +298,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         if args.config is not None:
-            # config values become the subcommand's defaults, so explicit flags still win
-            args.subparser.set_defaults(**_config_defaults(args.subparser, args.config))
-            args = parser.parse_args(argv)
+            for dest, value in _config_values(args.subparser, args.config).items():
+                if getattr(args, dest, None) is None:
+                    setattr(args, dest, value)
         return args.func(args)
     except SystemExit as exc:  # argparse exits itself on usage errors and --help
         return int(exc.code or 0)

@@ -145,6 +145,16 @@ class TestRunners:
             (BenchCase("ca", 4, "compiled-kx", 0), "ValueError_invalid_literal_for_int_with_base_10_x"),
             # derand refuses its solver before any search
             (BenchCase("derand", 40, "warp", 0, {"p": 0.7}), "BenchError_unsupported_derand_solver_warp"),
+            # a plain-decimal K below 1 reaches the library's refusal
+            (BenchCase("ca", 4, "compiled-k0", 0), "ValueError_k_must_be_1"),
+            (BenchCase("ca", 4, "compiled-k-1", 0), "ValueError_k_must_be_1"),
+            # K is plain decimal, so each compiled solver has one name
+            (BenchCase("ca", 4, "compiled-k01", 0), "BenchError_unsupported_ca_solver_compiled-k01"),
+            (BenchCase("ca", 4, "compiled-k+2", 0), "BenchError_unsupported_ca_solver_compiled-k_2"),
+            (BenchCase("ca", 4, "compiled-k 2", 0), "BenchError_unsupported_ca_solver_compiled-k_2"),
+            (BenchCase("ca", 4, "compiled-k\u0663", 0), "BenchError_unsupported_ca_solver_compiled-k"),
+            (BenchCase("ca", 4, "compiled-k1_0", 0), "BenchError_unsupported_ca_solver_compiled-k1_0"),
+            (BenchCase("ca", 4, "compiled-k-0", 0), "BenchError_unsupported_ca_solver_compiled-k-0"),
         ],
     )
     def test_first_fault_names_the_error_record(self, case, slug):

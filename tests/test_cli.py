@@ -8,7 +8,7 @@ import random
 import pytest
 
 from depthbench import automata, bench, s5
-from depthbench.cli import main
+from depthbench.cli import build_parser, main
 
 from oracles import naive_evolve
 from test_bench import BAD_CASES
@@ -101,6 +101,9 @@ class TestCa:
         code, _, err = run(capsys, "ca", "110", "01x0")
         assert code == 2
         assert "error:" in err
+        for extra in (["--row", "-1"], ["--row", "-1", "--cell", "0"]):
+            code, out, err = run(capsys, "ca", "110", "01x0", *extra)
+            assert (code, out, err) == (2, "", "error: tape '01x0' must be a non-empty 0/1 string\n"), extra
 
     def test_rule_out_of_range(self, capsys):
         code, _, err = run(capsys, "ca", "300", "010")
@@ -128,6 +131,10 @@ class TestCa:
             (["--cell", "1"], "--cell requires --row"),
             (["--row", "2", "--cell", "1", "--k", "2"], "--k cannot be combined with --cell"),
             (["--rows", "0"], "--rows must be >= 1"),
+            (["--row", "-1"], "--row must be >= 0"),
+            (["--row", "-1", "--k", "2"], "--row must be >= 0"),
+            (["--row", "-1", "--cell", "0"], "--row must be >= 0"),
+            (["--row", "-1", "--cell", "0", "--k", "2"], "--k cannot be combined with --cell"),
         ],
     )
     def test_flag_misuse_is_usage_error(self, capsys, extra, message):
@@ -673,6 +680,55 @@ class TestConfigMerge:
         cfg.write_text("{nope")
         code, _, err = run(capsys, "ca", "0", "1", "--config", str(cfg))
         assert code == 2
+        # nesting past the JSON reader's recursion limit is a usage error, not an internal one
+        for doc in ("[" * 100_000 + "]" * 100_000, '{"rows": ' + "[" * 990 + "]" * 990 + "}"):
+            cfg.write_text(doc)
+            for argv in (["ca", "0", "1"], ["s5"], ["bench"]):
+                assert run(capsys, *argv, "--config", str(cfg)) == (2, "", "error: config file nests too deeply\n")
+
+    # Each optional flag parses to None when absent, so --config fills only what the command line left unset.
+    def test_every_optional_flag_parses_to_none(self):
+        parser = build_parser()
+        required = {"ca": ["110", "1"], "cvp": ["x.nl"], "s5": [], "do1": ["x.nl"], "derand": [], "bench": []}
+        subparsers = parser._subparsers._group_actions[0].choices
+        assert set(subparsers) == set(required)
+        for sub, positionals in required.items():
+            args = vars(parser.parse_args([sub, *positionals]))
+            dests = {a.dest for a in subparsers[sub]._actions if a.option_strings and a.dest != "help"}
+            assert dests and {dest: args[dest] for dest in dests} == dict.fromkeys(dests), sub
+
+    def test_config_fold_and_flag_fold(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"fold": "tree"}))
+        assert run(capsys, "s5", "--config", str(cfg)) == (0, "43102\n", "meter: work=15 depth=4\n")
+        code, out, err = run(capsys, "s5", "--fold", "serial", "--config", str(cfg))
+        assert (code, out, err) == (0, "43102\n", "meter: work=15 depth=15\n")
+
+    def test_flag_p_beats_config_p(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"p": 0.2, "bound-only": True}))
+        assert run(capsys, "derand", "--config", str(cfg)) == (0, "27\n", "")
+        assert run(capsys, "derand", "--p", "0.3", "--config", str(cfg)) == (0, "59\n", "")
+
+    def test_config_csv_and_flag_csv(self, capsys, tmp_path):
+        cfg, path = tmp_path / "cfg.json", tmp_path / "out.csv"
+        case = {"family": "s5", "size": 4, "solver": "tree", "seed": 1}
+        cfg.write_text(json.dumps({"cases": [case], "csv": str(path)}))
+        code, out, err = run(capsys, "bench", "--config", str(cfg))
+        assert (code, out, err) == (0, "", "ran 1 cases (0 errors)\n")
+        csv = 'family,size,solver,seed,work,depth,aux\ns5,4,tree,1,3,2,product="43102"'
+        assert strip_wall(path.read_text()) == csv
+        path.unlink()
+        code, out, _ = run(capsys, "bench", "--csv", "-", "--config", str(cfg))
+        assert (code, strip_wall(out)) == (0, csv)
+        assert not path.exists()
+
+    def test_config_false_does_not_undo_flag(self, capsys, tmp_path):
+        net, cfg = tmp_path / "chain.net", tmp_path / "cfg.json"
+        net.write_text(CHAIN5)
+        cfg.write_text(json.dumps({"extract": False}))
+        code, out, err = run(capsys, "do1", str(net), "--extract", "--exact-oracle", "--config", str(cfg))
+        assert (code, out, err) == (0, "4\n", "bracket ok: d1=5 estimate=4 probes=24 (4 <= 5 < 8)\n")
 
 
 class TestUsage:
