@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import os
 import sys
@@ -293,8 +294,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser every ``main`` call in this process shares, built on the first call."""
+    return build_parser()
+
+
+# main and _config_values only read the shared parser: they never call set_defaults, add an
+# action or change one, so each call parses into a fresh Namespace and leaves nothing behind.
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    parser = _parser()
     try:
         args = parser.parse_args(argv)
         if args.config is not None:
