@@ -1,14 +1,23 @@
 """End-to-end CLI behavior: output, stderr meters, exit codes, config merge."""
 
+import contextlib
 import hashlib
+import io
 import itertools
 import json
+import os
 import random
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from depthbench import automata, bench, s5
+from depthbench import automata, bench, derand, s5
 from depthbench.cli import build_parser, main
+from depthbench.meters import CostMeter
 
 from oracles import naive_evolve
 from test_bench import BAD_CASES
@@ -742,3 +751,137 @@ class TestUsage:
         code, out, _ = run(capsys, "--help")
         assert code == 0
         assert "subcommand" in out or "usage" in out
+
+
+def call(argv):
+    """``main(argv)`` as ``(exit code, stdout, stderr)``; hypothesis tests cannot take ``capsys``."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+# where each flag's value comes from in one drawn call
+SOURCES = ("absent", "argv", "config", "both")
+
+
+@st.composite
+def flag_sources(draw, values):
+    """``{flag: (source, argv value, config value)}`` for each flag named in ``values``."""
+    return {flag: (draw(st.sampled_from(SOURCES)), draw(value), draw(value)) for flag, value in values.items()}
+
+
+def spell(command, drawn, defaults, cfg: Path):
+    """The argv for ``drawn`` and each flag's value by "flag > config > default"."""
+    pairs, doc, chosen = [], {}, {}
+    for flag, (source, on_argv, in_config) in drawn.items():
+        if source in ("argv", "both"):
+            pairs.append([f"--{flag}", str(on_argv)])
+        if source in ("config", "both"):
+            doc[flag] = in_config
+        chosen[flag] = {"absent": defaults[flag], "config": in_config}.get(source, on_argv)
+    if doc:
+        cfg.write_text(json.dumps(doc))
+        pairs.insert(len(pairs) // 2, ["--config", str(cfg)])
+    return [*command, *itertools.chain.from_iterable(pairs)], chosen
+
+
+class TestSharedParser:
+    """main builds its parser once per process; no call may leave state on it for the next."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        s5_flags=flag_sources(
+            {"fold": st.sampled_from(("serial", "tree")), "n": st.integers(1, 40), "seed": st.integers(0, 2**20)}
+        ),
+        derand_flags=flag_sources({"p": st.floats(0, 0.45), "delta": st.floats(1e-9, 0.9)}),
+        usage_error=st.sampled_from((["nope"], ["s5", "--n", "x"], ["s5", "--fold", "bogus"], ["derand", "--q"])),
+        help_argv=st.sampled_from((["--help"], ["s5", "--help"], ["derand", "--help"])),
+    )
+    def test_flag_beats_config_beats_default_on_every_call(self, s5_flags, derand_flags, usage_error, help_argv):
+        with tempfile.TemporaryDirectory() as tmp:
+            argv, v = spell(["s5"], s5_flags, {"fold": "serial", "n": 16, "seed": 0}, Path(tmp, "s5.json"))
+            meter = CostMeter()
+            fold = s5.fold_tree if v["fold"] == "tree" else s5.fold_serial
+            product = fold(s5.random_word(v["seed"], v["n"]), meter)
+            meter_line = f"meter: work={meter.work} depth={meter.depth}\n"
+            assert call(argv) == (0, s5.format_perm(product) + "\n", meter_line), argv
+
+            # a refused argv and a help page between two calls must leave nothing on the parser
+            assert call(usage_error)[:2] == (2, ""), usage_error
+            code, out, err = call(help_argv)
+            assert (code, err) == (0, "") and out.startswith("usage: depthbench"), help_argv
+
+            argv, v = spell(["derand", "--bound-only"], derand_flags, {"p": 0.3, "delta": 0.01}, Path(tmp, "d.json"))
+            try:
+                expected = (0, f"{derand.hoeffding_k(v['p'], v['delta'])}\n", "")
+            except ValueError as exc:
+                expected = (2, "", f"error: {exc}\n")
+            assert call(argv) == expected, argv
+
+
+# runs in a fresh interpreter, so the count starts at the process's first main call
+COUNT_BUILDS = """
+import argparse, contextlib, io, json, sys
+constructed = []
+init = argparse.ArgumentParser.__init__
+def counting_init(self, *args, **kwargs):
+    constructed.append(1)
+    init(self, *args, **kwargs)
+argparse.ArgumentParser.__init__ = counting_init
+from depthbench import cli
+at_import = len(constructed)
+built = []
+build = cli.build_parser
+def counting_build():
+    built.append(1)
+    return build()
+cli.build_parser = counting_build
+calls = [["ca", "110", "00100", "--rows", "2", "--k", "2"], ["s5", "--n", "5"],
+         ["do1", sys.argv[1], "--extract", "--exact-oracle"], ["derand", "--bound-only"], ["nope"]]
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    codes = [cli.main(argv) for argv in calls]
+print(json.dumps({"at_import": at_import, "built": len(built), "codes": codes}))
+"""
+
+# the three argvs twice each through main, then once each through a parser built afresh
+HELP_TWICE = """
+import contextlib, io, json
+from depthbench import cli
+def run(parse, argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = parse(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return [code, out.getvalue(), err.getvalue()]
+argvs = [["--help"], ["ca", "--help"], ["nope"]]
+main = [[run(cli.main, argv) for argv in argvs] for _ in range(2)]
+fresh = [run(cli.build_parser().parse_args, argv) for argv in argvs]
+print(json.dumps({"main": main, "fresh": fresh}))
+"""
+
+
+def fresh_process(script: str, *args: str) -> dict:
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(root / "src"), "COLUMNS": "100"}
+    out = subprocess.run(
+        [sys.executable, "-c", script, *args], capture_output=True, text=True, check=True, cwd=root, env=env
+    )
+    return json.loads(out.stdout)
+
+
+class TestOneParserPerProcess:
+    def test_import_builds_none_and_five_calls_build_one(self, tmp_path):
+        net = tmp_path / "chain.net"
+        net.write_text(CHAIN5)
+        got = fresh_process(COUNT_BUILDS, str(net))
+        assert got == {"at_import": 0, "built": 1, "codes": [0, 0, 0, 0, 2]}
+
+    def test_help_and_usage_bytes_repeat_and_match_a_fresh_parser(self):
+        got = fresh_process(HELP_TWICE)
+        first, second = got["main"]
+        assert first == second == got["fresh"]
+        assert [code for code, _out, _err in first] == [0, 0, 2]
+        assert first[2][1] == "" and first[2][2].startswith("usage: depthbench")
