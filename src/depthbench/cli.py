@@ -65,7 +65,7 @@ def _config_values(parser: argparse.ArgumentParser, path: str) -> dict:
     config_only = parser.get_default("config_only")
     unknown = sorted(set(doc) - set(actions) - set(config_only))
     if unknown:
-        allowed = ", ".join(sorted([*actions, *config_only]))
+        allowed = ", ".join(sorted([*actions, *config_only])) or "none"
         raise ValueError(f"unknown config key {unknown[0]!r} for {parser.prog} (allowed: {allowed})")
     return {
         key.replace("-", "_"): value if key in config_only else _config_value(actions[key], key, value)
@@ -326,4 +326,4 @@ def entry() -> None:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    entry()

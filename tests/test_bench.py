@@ -1,16 +1,12 @@
 """Suite runner determinism, CSV round trips, and the two-path report."""
 
-import json
 import math
-import re
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from depthbench.bench import (
     CSV_HEADER,
-    FAMILY_PARAMS,
     BenchCase,
     BenchRecord,
     default_suite,
@@ -304,21 +300,6 @@ class TestSuiteConfig:
             load_suite({"cases": [{"family": "s5", "size": 8, "solver": "tree", "params": {"rule": 90}}]})
         with pytest.raises(ValueError, match="'params' must be a JSON object"):
             load_suite({"cases": [{"family": "ca", "size": 8, "solver": "plain", "params": [["rule", 90]]}]})
-
-    def test_readme_params_table_matches_family_params(self):
-        # README's table is the only statement of each family's params and defaults outside the code
-        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-        rows = re.findall(r"^\| `(\w+)` +\| (.+?) \|$", readme[readme.index("### bench"):], re.M)
-        documented = {}
-        for family, cell in rows:
-            items = [] if cell == "none" else [re.fullmatch(r"`(\w+)` \[(.+)\]", item) for item in cell.split(", ")]
-            assert all(items), cell
-            documented[family] = {m[1]: json.loads(m[2]) for m in items}
-
-        def typed(table):
-            return [(family, [(k, type(v), v) for k, v in params.items()]) for family, params in table.items()]
-
-        assert typed(documented) == typed(FAMILY_PARAMS)
 
     def test_unknown_family_params_left_to_run_time(self):
         case = load_suite({"cases": [{"family": "quantum", "size": 4, "solver": "serial", "params": {"x": 1}}]})[0]

@@ -27,15 +27,13 @@ SWEEP_DIGEST = "514787fb6b6a25b46656795d59d0af8c3959c173d766e2084d2f9cdbee7e23d2
 # sha256 of the default sweep's report, which holds no wall time
 REPORT_DIGEST = "e8244041bbc0491952d5cc364ee26bafd90313b6b462b60e6275c76b3fb2857d"
 
-CHAIN5 = "const 0 1\nor 1 0\nand 2 1\nor 3 2\nand 4 3\nor 5 4\noutput 5\n"
 
-
-README_SUITE = """{"cases": [
-  {"family": "ca",  "size": 64, "solver": "plain",       "seed": 7, "params": {"rule": 110}},
-  {"family": "ca",  "size": 64, "solver": "compiled-k2", "seed": 7, "params": {"rule": 110}},
-  {"family": "s5",  "size": 256, "solver": "tree",       "seed": 3}
-]}
-"""
+@pytest.fixture
+def chain5(tmp_path) -> str:
+    """The path of a netlist file holding an alternating chain whose depth-of-one is 5."""
+    net = tmp_path / "chain.net"
+    net.write_text("const 0 1\nor 1 0\nand 2 1\nor 3 2\nand 4 3\nor 5 4\noutput 5\n")
+    return str(net)
 
 
 def strip_wall(csv_text: str) -> str:
@@ -84,21 +82,6 @@ class TestCa:
             assert out == "".join(automata.format_tape(tapes[r]) + "\n" for r in shown), argv
             meter = f"meter: work={len(tape) * len(reached)} depth={len(reached)}"
             assert err == (meter if k is None else f"{meter} table_size={1 << (2 * k + 1)}") + "\n", argv
-
-    @pytest.mark.parametrize(
-        "argv, out, err",
-        [
-            (["00100", "--rows", "3"], "01100\n11100\n10100\n", "meter: work=15 depth=3\n"),
-            (
-                ["0000000010000000", "--rows", "12", "--k", "3"],
-                "0000011010000000\n0011100110000000\n1000001110000000\n1001100010000000\n",
-                "meter: work=64 depth=4 table_size=128\n",
-            ),
-            (["1", "--row", "3", "--cell", "4"], "0\n", ""),
-        ],
-    )
-    def test_readme_examples_byte_for_byte(self, capsys, argv, out, err):
-        assert run(capsys, "ca", "110", *argv) == (0, out, err)
 
     @pytest.mark.parametrize("flag", ["--rows", "--row"])
     def test_k_below_one_is_usage_error(self, capsys, flag):
@@ -180,11 +163,6 @@ class TestCvp:
         code, out, _ = run(capsys, "cvp", str(net), "0")
         assert (code, out) == (0, "1\n")
 
-    def test_readme_example_byte_for_byte(self, capsys, tmp_path):
-        net = tmp_path / "demo.nl"
-        net.write_text("input 0\ninput 1\ninput 2\nand 3 0 1\nor 4 3 2\noutput 4\n")
-        assert run(capsys, "cvp", str(net), "101") == (0, "1\n", "")
-
     def test_parse_error_cites_line(self, capsys, tmp_path):
         net = tmp_path / "bad.net"
         net.write_text("input 0\nxor 1 0 0\noutput 1\n")
@@ -240,64 +218,47 @@ class TestS5:
         assert run(capsys, "s5", "--config", str(cfg)) == run(capsys, "s5", "--n", "6", "--seed", "42")
         assert run(capsys, "s5") == run(capsys, "s5", "--n", "16", "--seed", "0")
 
-    def test_readme_example(self, capsys):
-        # README's s5 example, byte for byte
-        code, out, err = run(capsys, "s5", "--n", "6", "--seed", "42", "--fold", "tree")
-        assert (code, out, err) == (0, "21034\n", "meter: work=5 depth=3\n")
-
     def test_output_is_valid_perm(self, capsys):
         _, out, _ = run(capsys, "s5", "--n", "30", "--seed", "9")
         s5.parse_perm(out.strip())
 
 
 class TestDo1:
-    def test_chain_depth(self, capsys, tmp_path):
-        net = tmp_path / "chain.net"
-        net.write_text(CHAIN5)
-        code, out, _ = run(capsys, "do1", str(net))
+    def test_chain_depth(self, capsys, chain5):
+        code, out, _ = run(capsys, "do1", chain5)
         assert (code, out) == (0, "5\n")
 
-    def test_extract_exact(self, capsys, tmp_path):
-        net = tmp_path / "chain.net"
-        net.write_text(CHAIN5)
-        code, out, err = run(capsys, "do1", str(net), "--extract", "--exact-oracle")
+    def test_extract_exact(self, capsys, chain5):
+        code, out, err = run(capsys, "do1", chain5, "--extract", "--exact-oracle")
         assert code == 0
         assert out == "4\n"
         assert "bracket ok" in err
         assert "probes=24" in err
 
-    def test_extract_noisy(self, capsys, tmp_path):
-        net = tmp_path / "chain.net"
-        net.write_text(CHAIN5)
-        code, out, err = run(capsys, "do1", str(net), "--extract", "--noise", "0.5", "--seed", "3")
+    def test_extract_noisy(self, capsys, chain5):
+        code, out, err = run(capsys, "do1", chain5, "--extract", "--noise", "0.5", "--seed", "3")
         assert code == 0
         estimate = int(out.strip())
         assert 0.5 * estimate <= 5 <= 4 * estimate
         assert "bracket ok" in err
 
-    def test_extract_needs_an_oracle(self, capsys, tmp_path):
-        net = tmp_path / "chain.net"
-        net.write_text(CHAIN5)
-        code, _, err = run(capsys, "do1", str(net), "--extract")
+    def test_extract_needs_an_oracle(self, capsys, chain5):
+        code, _, err = run(capsys, "do1", chain5, "--extract")
         assert code == 2
         assert "exact-oracle" in err
 
-    def test_exact_oracle_and_noise_refused(self, capsys, tmp_path):
-        net = tmp_path / "chain.net"
-        net.write_text(CHAIN5)
-        code, out, err = run(capsys, "do1", str(net), "--extract", "--exact-oracle", "--noise", "0.5")
+    def test_exact_oracle_and_noise_refused(self, capsys, chain5):
+        code, out, err = run(capsys, "do1", chain5, "--extract", "--exact-oracle", "--noise", "0.5")
         assert (code, out, err) == (2, "", "error: --exact-oracle and --noise cannot be combined\n")
 
     @pytest.mark.parametrize(
         "doc, flags",
         [({"exact-oracle": True}, ["--noise", "0.5"]), ({"noise": 0.5}, ["--exact-oracle"])],
     )
-    def test_exact_oracle_and_noise_refused_across_config(self, capsys, tmp_path, doc, flags):
-        net = tmp_path / "chain.net"
-        net.write_text(CHAIN5)
+    def test_exact_oracle_and_noise_refused_across_config(self, capsys, tmp_path, chain5, doc, flags):
         cfg = tmp_path / "do1.json"
         cfg.write_text(json.dumps(doc))
-        code, out, err = run(capsys, "do1", str(net), "--extract", *flags, "--config", str(cfg))
+        code, out, err = run(capsys, "do1", chain5, "--extract", *flags, "--config", str(cfg))
         assert (code, out, err) == (2, "", "error: --exact-oracle and --noise cannot be combined\n")
 
     @pytest.mark.parametrize(
@@ -311,10 +272,8 @@ class TestDo1:
             (["--extract", "--exact-oracle", "--seed", "0"], "--seed needs --noise"),
         ],
     )
-    def test_unused_oracle_flags_refused(self, capsys, tmp_path, flags, message):
-        net = tmp_path / "chain.net"
-        net.write_text(CHAIN5)
-        code, out, err = run(capsys, "do1", str(net), *flags)
+    def test_unused_oracle_flags_refused(self, capsys, chain5, flags, message):
+        code, out, err = run(capsys, "do1", chain5, *flags)
         assert (code, out, err) == (2, "", f"error: {message}\n")
 
     @pytest.mark.parametrize(
@@ -326,49 +285,33 @@ class TestDo1:
             ({"extract": True, "seed": 9}, ["--exact-oracle"], "--seed needs --noise"),
         ],
     )
-    def test_unused_oracle_flags_refused_across_config(self, capsys, tmp_path, doc, flags, message):
-        net = tmp_path / "chain.net"
-        net.write_text(CHAIN5)
+    def test_unused_oracle_flags_refused_across_config(self, capsys, tmp_path, chain5, doc, flags, message):
         cfg = tmp_path / "do1.json"
         cfg.write_text(json.dumps(doc))
-        code, out, err = run(capsys, "do1", str(net), *flags, "--config", str(cfg))
+        code, out, err = run(capsys, "do1", chain5, *flags, "--config", str(cfg))
         assert (code, out, err) == (2, "", f"error: {message}\n")
 
+    # one gate at chain length 1: horizon 1, so each probe is a pick that ends the episode
     @pytest.mark.parametrize(
-        "netlist, argv, out, err",
+        "argv, out, err",
         [
-            (CHAIN5, [], "5\n", ""),
-            (CHAIN5, ["--extract", "--exact-oracle"], "4\n", "bracket ok: d1=5 estimate=4 probes=24 (4 <= 5 < 8)\n"),
-            (
-                CHAIN5,
-                ["--extract", "--noise", "0.5", "--seed", "7"],
-                "4\n",
-                "bracket ok: d1=5 estimate=4 probes=24 (2 <= 5 <= 16)\n",
-            ),
-            # one gate at chain length 1: horizon 1, so each probe is a pick that ends the episode
-            ("input 0\nor 1 0\noutput 1\n", ["1"], "1\n", ""),
-            (
-                "input 0\nor 1 0\noutput 1\n",
-                ["1", "--extract", "--exact-oracle"],
-                "1\n",
-                "bracket ok: d1=1 estimate=1 probes=2 (1 <= 1 < 2)\n",
-            ),
+            ([], "1\n", ""),
+            (["--extract", "--exact-oracle"], "1\n", "bracket ok: d1=1 estimate=1 probes=2 (1 <= 1 < 2)\n"),
         ],
+        ids=["evaluate", "extract"],
     )
-    def test_readme_examples_byte_for_byte(self, capsys, tmp_path, netlist, argv, out, err):
+    def test_one_gate_at_horizon_1(self, capsys, tmp_path, argv, out, err):
         net = tmp_path / "net.nl"
-        net.write_text(netlist)
-        assert run(capsys, "do1", str(net), *argv) == (0, out, err)
+        net.write_text("input 0\nor 1 0\noutput 1\n")
+        assert run(capsys, "do1", str(net), "1", *argv) == (0, out, err)
 
-    def test_noise_seed_from_config_and_default(self, capsys, tmp_path):
-        net = tmp_path / "chain.net"
-        net.write_text(CHAIN5)
+    def test_noise_seed_from_config_and_default(self, capsys, tmp_path, chain5):
         cfg = tmp_path / "do1.json"
         cfg.write_text(json.dumps({"extract": True, "noise": 0.5, "seed": 7}))
-        from_config = run(capsys, "do1", str(net), "--config", str(cfg))
-        assert from_config == run(capsys, "do1", str(net), "--extract", "--noise", "0.5", "--seed", "7")
-        omitted = run(capsys, "do1", str(net), "--extract", "--noise", "0.5")
-        assert omitted == run(capsys, "do1", str(net), "--extract", "--noise", "0.5", "--seed", "0")
+        from_config = run(capsys, "do1", chain5, "--config", str(cfg))
+        assert from_config == run(capsys, "do1", chain5, "--extract", "--noise", "0.5", "--seed", "7")
+        omitted = run(capsys, "do1", chain5, "--extract", "--noise", "0.5")
+        assert omitted == run(capsys, "do1", chain5, "--extract", "--noise", "0.5", "--seed", "0")
 
     def test_all_cold_gives_zero(self, capsys, tmp_path):
         net = tmp_path / "cold.net"
@@ -385,13 +328,7 @@ class TestDo1:
 
 
 class TestDerand:
-    def test_bound_only(self, capsys):
-        code, out, _ = run(capsys, "derand", "--bound-only", "--p", "0.3", "--delta", "0.01")
-        assert (code, out) == (0, "59\n")
-
-    def test_readme_examples_byte_for_byte(self, capsys):
-        assert run(capsys, "derand", "--bound-only", "--p", "0.3", "--delta", "0.01") == (0, "59\n", "")
-        assert run(capsys, "derand", "--bound-only", "--p", "0.1", "--delta", "5e-324") == (0, "2327\n", "")
+    def test_search_seeds_are_the_rng_seed_draws(self, capsys):
         rng = random.Random(1)  # the search draws each bundle's 64-bit seeds from Random(--rng-seed)
         seeds = ", ".join(str(rng.getrandbits(64)) for _ in range(45))
         out = f'{{"attempts": 1, "k": 45, "per_attempt_errors": [0], "seeds": [{seeds}], "success": true}}\n'
@@ -450,8 +387,7 @@ class TestDerand:
         assert code == 2
 
     def test_subnormal_delta(self, capsys):
-        code, out, _ = run(capsys, "derand", "--bound-only", "--delta", "5e-324", "--p", "0.1")
-        assert (code, out) == (0, "2327\n")
+        assert run(capsys, "derand", "--bound-only", "--delta", "5e-324", "--p", "0.1") == (0, "2327\n", "")
         code, out, _ = run(capsys, "derand", "--delta-all", "1e-320", "--n", "2")
         doc = json.loads(out)
         assert (code, doc["success"], doc["k"], len(doc["seeds"])) == (0, True, 9229, 9229)
@@ -497,22 +433,6 @@ class TestBench:
         assert lines[0] == "family,size,solver,seed,work,depth,wall_ns,aux"
         assert len(lines) == 3
         assert "ran 2 cases (0 errors)" in err
-
-    def test_readme_example_byte_for_byte(self, capsys, tmp_path):
-        cfg = tmp_path / "suite.json"
-        cfg.write_text(README_SUITE)
-        report = tmp_path / "report.txt"
-        code, out, err = run(capsys, "bench", "--config", str(cfg), "--csv", "-", "--report", str(report))
-        rows = [line.split(",") for line in out.splitlines()]
-        masked = "".join(",".join(row) + "\n" for row in [rows[0], *([*row[:6], "...", *row[7:]] for row in rows[1:])])
-        assert (code, masked, err) == (
-            0,
-            "family,size,solver,seed,work,depth,wall_ns,aux\n"
-            "ca,64,plain,7,4096,64,...,table_size=8\n"
-            "ca,64,compiled-k2,7,2048,32,...,table_size=32\n"
-            's5,256,tree,3,255,8,...,product="24013"\n',
-            "ran 3 cases (0 errors)\n",
-        )
 
     def test_csv_and_report_files(self, capsys, tmp_path):
         suite = {"cases": [{"family": "ca", "size": 8, "solver": "compiled-k2", "seed": 2}]}
@@ -660,6 +580,14 @@ class TestConfigMerge:
         assert (code, out) == (2, "")
         assert "'max_attempts'" in err and "max-attempts" in err
 
+    def test_refusal_names_none_when_no_key_is_allowed(self, capsys, tmp_path):
+        net, cfg = tmp_path / "inv.nl", tmp_path / "c.json"
+        net.write_text("input 0\nnot 1 0\noutput 1\n")
+        cfg.write_text(json.dumps({"assignment": "0"}))
+        code, out, err = run(capsys, "cvp", str(net), "1", "--config", str(cfg))
+        assert (code, out) == (2, "")
+        assert err == "error: unknown config key 'assignment' for depthbench cvp (allowed: none)\n"
+
     def test_cases_key_only_for_bench(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"cases": [], "rows": 1}))
@@ -732,11 +660,10 @@ class TestConfigMerge:
         assert (code, strip_wall(out)) == (0, csv)
         assert not path.exists()
 
-    def test_config_false_does_not_undo_flag(self, capsys, tmp_path):
-        net, cfg = tmp_path / "chain.net", tmp_path / "cfg.json"
-        net.write_text(CHAIN5)
+    def test_config_false_does_not_undo_flag(self, capsys, tmp_path, chain5):
+        cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"extract": False}))
-        code, out, err = run(capsys, "do1", str(net), "--extract", "--exact-oracle", "--config", str(cfg))
+        code, out, err = run(capsys, "do1", chain5, "--extract", "--exact-oracle", "--config", str(cfg))
         assert (code, out, err) == (0, "4\n", "bracket ok: d1=5 estimate=4 probes=24 (4 <= 5 < 8)\n")
 
 
@@ -863,25 +790,30 @@ print(json.dumps({"main": main, "fresh": fresh}))
 """
 
 
-def fresh_process(script: str, *args: str) -> dict:
+def fresh_process(*args: str) -> subprocess.CompletedProcess:
+    """``python3 ARGS`` in a fresh interpreter that imports depthbench from this checkout."""
     root = Path(__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": str(root / "src"), "COLUMNS": "100"}
-    out = subprocess.run(
-        [sys.executable, "-c", script, *args], capture_output=True, text=True, check=True, cwd=root, env=env
-    )
-    return json.loads(out.stdout)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, cwd=root, env=env)
 
 
 class TestOneParserPerProcess:
-    def test_import_builds_none_and_five_calls_build_one(self, tmp_path):
-        net = tmp_path / "chain.net"
-        net.write_text(CHAIN5)
-        got = fresh_process(COUNT_BUILDS, str(net))
+    def test_import_builds_none_and_five_calls_build_one(self, chain5):
+        got = json.loads(fresh_process("-c", COUNT_BUILDS, chain5).stdout)
         assert got == {"at_import": 0, "built": 1, "codes": [0, 0, 0, 0, 2]}
 
     def test_help_and_usage_bytes_repeat_and_match_a_fresh_parser(self):
-        got = fresh_process(HELP_TWICE)
+        got = json.loads(fresh_process("-c", HELP_TWICE).stdout)
         first, second = got["main"]
         assert first == second == got["fresh"]
         assert [code for code, _out, _err in first] == [0, 0, 2]
         assert first[2][1] == "" and first[2][2].startswith("usage: depthbench")
+
+
+class TestProcessEntryPoint:
+    @pytest.mark.parametrize("code, argv", [(0, ["ca", "110", "00100", "--rows", "3"]), (2, ["ca", "110", "01x0"])])
+    def test_python_m_matches_main(self, capsys, code, argv):
+        # python3 -m depthbench.cli runs entry(), as the depthbench console script does
+        done = fresh_process("-m", "depthbench.cli", *argv)
+        assert (done.returncode, done.stdout, done.stderr) == run(capsys, *argv)
+        assert done.returncode == code
