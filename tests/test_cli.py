@@ -83,6 +83,21 @@ class TestCa:
             meter = f"meter: work={len(tape) * len(reached)} depth={len(reached)}"
             assert err == (meter if k is None else f"{meter} table_size={1 << (2 * k + 1)}") + "\n", argv
 
+    @pytest.mark.parametrize(
+        "argv, out, err",
+        [
+            (["00100", "--rows", "3"], "01100\n11100\n10100\n", "meter: work=15 depth=3\n"),
+            (
+                ["0000000010000000", "--rows", "12", "--k", "3"],
+                "0000011010000000\n0011100110000000\n1000001110000000\n1001100010000000\n",
+                "meter: work=64 depth=4 table_size=128\n",
+            ),
+            (["1", "--row", "3", "--cell", "4"], "0\n", ""),
+        ],
+    )
+    def test_readme_examples_byte_for_byte(self, capsys, argv, out, err):
+        assert run(capsys, "ca", "110", *argv) == (0, out, err)
+
     @pytest.mark.parametrize("flag", ["--rows", "--row"])
     def test_k_below_one_is_usage_error(self, capsys, flag):
         code, out, err = run(capsys, "ca", "110", "0110", flag, "3", "--k", "0")
