@@ -58,9 +58,10 @@ class BenchRecord:
 
 
 def _check_type(key: str, value, want: type) -> None:
-    """An int where ``want`` is int, an int or float where it is float; never a bool."""
-    if isinstance(value, bool) or not isinstance(value, (int, float) if want is float else int):
-        raise BenchError(f"{key!r} must be {'a number' if want is float else 'an integer'}, not {value!r}")
+    """A str, an int or a number (int or float) as ``want`` is str, int or float; never a bool."""
+    if isinstance(value, bool) or not isinstance(value, (int, float) if want is float else want):
+        name = {str: "a string", int: "an integer", float: "a number"}[want]
+        raise BenchError(f"{key!r} must be {name}, not {value!r}")
 
 
 def family_params(family: str, params: dict) -> dict:
@@ -185,9 +186,10 @@ def run_suite(cases: list[BenchCase]) -> list[BenchRecord]:
     return [run_case(c) for c in cases]
 
 
-def _check_text(what: str, value) -> None:
-    """A CSV text field must not hold a separator: ``,``, ``;``, ``=`` or a line break."""
-    text = str(value)
+def _check_text(what: str, text) -> None:
+    """A CSV text field must be a str and hold no separator: ``,``, ``;``, ``=`` or a line break."""
+    if not isinstance(text, str):
+        raise ValueError(f"{what} {text!r} must be a str")
     if any(sep in text for sep in ",;=") or "".join(text.splitlines()) != text:
         raise ValueError(f"{what} {text!r} holds a CSV separator (',', ';', '=' or a line break)")
 
@@ -208,18 +210,21 @@ def _parse_aux_value(s: str) -> int | str:
 def _format_aux_value(v: int | str) -> str:
     if isinstance(v, bool) or not isinstance(v, (int, str)):
         raise ValueError(f"aux value {v!r} must be an int or a str")
+    if isinstance(v, int):
+        return str(v)
     _check_text("aux value", v)
-    if isinstance(v, str) and _parse_aux_value(v) != v:
+    if _parse_aux_value(v) != v:
         return f'"{v}"'  # protect strings that would read back as ints or lose their quotes
-    return str(v)
+    return v
 
 
 def emit_csv(records: list[BenchRecord]) -> str:
     """Fixed-header CSV; aux is a semicolon-joined key=value list.
 
-    An aux value must be an int or a str (not a bool), and no text field may
-    hold a separator: anything else raises ``ValueError``, so ``parse_csv``
-    reads back every record emitted.
+    The family, the solver and every aux key must be a str, an aux value an
+    int or a str (not a bool), and no text field may hold a separator:
+    anything else raises ``ValueError``, so ``parse_csv`` reads back every
+    record emitted.
     """
     lines = [CSV_HEADER]
     for r in records:
@@ -298,12 +303,15 @@ def _case_from(entry: dict) -> BenchCase:
     unknown = sorted(set(entry) - set(CASE_KEYS))
     if unknown:
         raise BenchError(f"unknown case key {unknown[0]!r} (allowed: {', '.join(CASE_KEYS)})")
+    missing = [key for key in ("family", "size", "solver") if key not in entry]
+    if missing:
+        raise BenchError(f"missing key {missing[0]!r}")
     params = entry.get("params", {})
     if not isinstance(params, dict):
         raise TypeError(f"'params' must be a JSON object, not {params!r}")
     case = BenchCase(entry["family"], entry["size"], entry["solver"], entry.get("seed", 0), dict(params))
-    _check_type("size", case.size, int)
-    _check_type("seed", case.seed, int)
+    for key, want in (("family", str), ("size", int), ("solver", str), ("seed", int)):
+        _check_type(key, getattr(case, key), want)
     _check_text("family", case.family)
     _check_text("solver", case.solver)
     if case.family in FAMILY_PARAMS:  # unknown families stay run-time error records
@@ -314,9 +322,9 @@ def _case_from(entry: dict) -> BenchCase:
 def load_suite(doc: dict) -> list[BenchCase]:
     """Build cases from a suite JSON document: {"cases": [{family, size, solver, ...}]}.
 
-    A case key other than ``CASE_KEYS``, a param its family does not take,
-    a mistyped value or a CSV separator in the family or solver raises
-    ``ValueError`` naming the case index.
+    A missing or unknown case key, a param its family does not take, a
+    mistyped value or a CSV separator in the family or solver raises
+    ``ValueError`` naming the case index and the key.
     """
     if "cases" not in doc or not isinstance(doc["cases"], list):
         raise ValueError("suite config needs a 'cases' array")
@@ -324,7 +332,7 @@ def load_suite(doc: dict) -> list[BenchCase]:
     for idx, entry in enumerate(doc["cases"]):
         try:
             cases.append(_case_from(entry))
-        except (KeyError, TypeError, ValueError) as exc:
+        except (TypeError, ValueError) as exc:
             raise ValueError(f"bad suite case #{idx}: {exc}") from None
     return cases
 

@@ -23,10 +23,6 @@ _MASK64 = (1 << 64) - 1
 
 INPUT_BUDGET = 1 << 20  # max inputs, (word, seed) decisions and word length in one search attempt
 
-# lanes in one packed int of count_bundle_errors: a larger bundle spreads over several
-# ints, so the per-word pass's temporaries stay the same size however large k grows
-SEED_HASHES = 4096
-
 _WORD_HASH = 0x8BADF00D  # hash of the empty word; each token is mixed in after it
 
 
@@ -198,33 +194,26 @@ def _packed_misses(decider: SimulatedDecider, bundle: SeedBundle, n: int, vocab_
 
     The pass hashes each bundle seed once and reads nothing of the decider
     but its threshold.  Each seed hash sits in the low half of a 128-bit lane
-    of one int, at most ``SEED_HASHES`` lanes to an int, and ``_mix`` runs on
-    every lane at once.  A shift's spill into the lane below is masked off
-    before the next multiply, and a product of two 64-bit numbers never
-    leaves its lane.  Adding 2^64 - threshold to a lane sets its bit 64 iff
-    the hash is at or above the threshold, that is iff that seed's vote is
-    the truth; since ``decide`` is truth ^ error, a word is a miss iff fewer
-    than k//2+1 lanes vote the truth, and the truth itself is never asked.
+    of one int, so that int grows with k (``INPUT_BUDGET`` bounds
+    k * vocab^n), and ``_mix`` runs on every lane at once.  A shift's spill
+    into the lane below is masked off before the next multiply, and a
+    product of two 64-bit numbers never leaves its lane.  Adding
+    2^64 - threshold to a lane sets its bit 64 iff the hash is at or above
+    the threshold, that is iff that seed's vote is the truth; since
+    ``decide`` is truth ^ error, a word is a miss iff fewer than k//2+1
+    lanes vote the truth, and the truth itself is never asked.
     """
-    hashes = [_mix(s & _MASK64) for s in bundle.seeds]
-    carry = (1 << 64) - decider._threshold
-    blocks = []
-    for start in range(0, len(hashes), SEED_HASHES):
-        lanes = hashes[start : start + SEED_HASHES]
-        ones = int.from_bytes((b"\x01" + bytes(15)) * len(lanes), "little")  # 1 in every lane
-        packed = int.from_bytes(b"".join(h.to_bytes(16, "little") for h in lanes), "little")
-        blocks.append((packed, ones, ones * 0x9E3779B97F4A7C15, ones * _MASK64, ones * carry))
-    high = blocks[0][1] << 64  # bit 64 of every lane; a shorter last block reads only its own
+    packed = int.from_bytes(b"".join(_mix(s & _MASK64).to_bytes(16, "little") for s in bundle.seeds), "little")
+    ones = int.from_bytes((b"\x01" + bytes(15)) * bundle.k, "little")  # 1 in every lane
+    add, mask, carries = ones * 0x9E3779B97F4A7C15, ones * _MASK64, ones * ((1 << 64) - decider._threshold)
+    high = ones << 64  # bit 64 of every lane
     need = bundle.k // 2 + 1
     bad = 0
     for word_hash in _word_hashes(n, vocab_size):
-        right = 0
-        for packed, ones, add, mask, carries in blocks:
-            x = ((packed ^ word_hash * ones) + add) & mask
-            x = ((x ^ (x >> 30)) & mask) * 0xBF58476D1CE4E5B9 & mask
-            x = ((x ^ (x >> 27)) & mask) * 0x94D049BB133111EB & mask
-            right += ((x ^ (x >> 31)) + carries & high).bit_count()  # the shift's spill sits above bit 96
-        bad += right < need
+        x = ((packed ^ word_hash * ones) + add) & mask
+        x = ((x ^ (x >> 30)) & mask) * 0xBF58476D1CE4E5B9 & mask
+        x = ((x ^ (x >> 27)) & mask) * 0x94D049BB133111EB & mask
+        bad += ((x ^ (x >> 31)) + carries & high).bit_count() < need  # the shift's spill sits above bit 96
     return bad
 
 

@@ -28,6 +28,10 @@ BAD_CASES = [
     ({"family": "s5", "size": 2.7, "solver": "tree"}, "size"),
     ({"family": "s5", "size": 8, "solver": "tree", "seed": True}, "seed"),
     ({"family": "ca", "size": 8, "solver": "plain", "params": {"rule": 90.9}}, "rule"),
+    ({"family": 5, "size": 8, "solver": "tree"}, "family"),
+    ({"family": ["ca"], "size": 8, "solver": "plain"}, "family"),
+    ({"family": "s5", "size": 8, "solver": None}, "solver"),
+    ({"family": "ca", "size": 8, "solver": ["plain"]}, "solver"),
 ]
 
 
@@ -212,6 +216,14 @@ class TestCsv:
         with pytest.raises(ValueError, match=f"^{field} .* holds a CSV separator"):
             emit_csv([BenchRecord(family, 1, solver, 0, 0, 0, 0, aux)])
 
+    @pytest.mark.parametrize("field", ["family", "solver", "aux key"])
+    @pytest.mark.parametrize("value", [5, None, True])
+    def test_text_field_must_be_a_str(self, field, value):
+        family, solver = (value if field == "family" else "s5"), (value if field == "solver" else "tree")
+        aux = {value: 1} if field == "aux key" else {}
+        with pytest.raises(ValueError, match=f"^{field} {value!r} must be a str$"):
+            emit_csv([BenchRecord(family, 1, solver, 0, 0, 0, 0, aux)])
+
     def test_bad_header_rejected(self):
         with pytest.raises(ValueError, match="header"):
             parse_csv("nope\n")
@@ -271,6 +283,13 @@ class TestSuiteConfig:
     def test_bad_case_rejected(self):
         with pytest.raises(ValueError, match="case #0"):
             load_suite({"cases": [{"family": "s5"}]})
+
+    @pytest.mark.parametrize("key", ["family", "size", "solver"])
+    def test_missing_key_named(self, key):
+        entry = {"family": "s5", "size": 8, "solver": "tree"}
+        del entry[key]
+        with pytest.raises(ValueError, match=f"^bad suite case #0: missing key '{key}'$"):
+            load_suite({"cases": [entry]})
 
     @pytest.mark.parametrize("entry, key", BAD_CASES)
     def test_strict_case_rejected(self, entry, key):

@@ -239,17 +239,6 @@ class TestS5:
 
 
 class TestDo1:
-    def test_chain_depth(self, capsys, chain5):
-        code, out, _ = run(capsys, "do1", chain5)
-        assert (code, out) == (0, "5\n")
-
-    def test_extract_exact(self, capsys, chain5):
-        code, out, err = run(capsys, "do1", chain5, "--extract", "--exact-oracle")
-        assert code == 0
-        assert out == "4\n"
-        assert "bracket ok" in err
-        assert "probes=24" in err
-
     def test_extract_noisy(self, capsys, chain5):
         code, out, err = run(capsys, "do1", chain5, "--extract", "--noise", "0.5", "--seed", "3")
         assert code == 0

@@ -5,7 +5,6 @@ import hashlib
 import itertools
 import math
 import random
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -161,8 +160,8 @@ class TestSimulatedDecider:
             majority_vote(d, bundle, word)
         assert asked == collections.Counter(all_words(4, 2))
 
-    def test_bundle_past_the_seed_cache(self):
-        # p = 0.49, n = 1: k = 6933 seeds, more than one packed int holds, over two words
+    def test_large_bundle_through_a_wrapping_decider(self):
+        # p = 0.49, n = 1: k = 6933 seeds over two words, every decision asked through the wrapper
         decisions = []
 
         class Recording:
@@ -179,8 +178,7 @@ class TestSimulatedDecider:
 
         d = Recording()
         result = find_universal_seeds(d, 1, 2, 0.5, rng_seed=0, max_attempts=2)
-        assert result.k == 6933 > derand.SEED_HASHES
-        assert len({seed for _, seed, _ in decisions}) > derand.SEED_HASHES
+        assert result.k == 6933
         assert all(SimulatedDecider(word_parity, 0.49).decide(w, s) == bit for w, s, bit in decisions)
 
     def test_word_given_as_a_list(self):
@@ -286,14 +284,24 @@ class TestCountBundleErrors:
                     assert count_bundle_errors(d, SeedBundle(seeds), n, vocab) == full_count_errors(d, seeds, n, vocab)
 
     @pytest.mark.parametrize("vocab", [2, 3])
-    def test_simulated_decider_past_its_seed_bound(self, vocab, monkeypatch):
+    def test_simulated_decider_on_seeds_equal_mod_2_64(self, vocab):
         # seeds equal mod 2^64 hash alike; a repeated seed votes twice
         seeds = (-1, 2**64 - 1, 5, 2**70 + 5, 12345, 7, 7)
         expected = {p: full_count_errors(SimulatedDecider(word_parity, p), seeds, 4, vocab) for p in (0.2, 0.45)}
         assert expected[0.45] > 0
-        monkeypatch.setattr(derand, "SEED_HASHES", 3)  # the bundle spans three packed ints
         for p, bad in expected.items():
             assert count_bundle_errors(SimulatedDecider(word_parity, p), SeedBundle(seeds), 4, vocab) == bad
+
+    def test_simulated_decider_past_4096_lanes(self):
+        # 2048 copies of a and of b, some shifted by 2^64, then three seeds in lanes 4096-4098:
+        # wherever a and b disagree, the last three lanes decide the vote
+        rng = random.Random(1)
+        a, b, *tail = (rng.getrandbits(64) for _ in range(5))
+        seeds = [a + (j % 3 - 1) * 2**64 for j in range(2048)] + [b - j % 2 * 2**64 for j in range(2048)] + tail
+        d = SimulatedDecider(word_parity, 0.45)
+        assert sum(d.decide(w, a) != d.decide(w, b) for w in all_words(3, 2)) == 6
+        got = count_bundle_errors(d, SeedBundle(tuple(seeds)), 3, 2)
+        assert got == simulated_bundle_errors(word_parity, 0.45, seeds, 3, 2) == 2
 
     def test_subclass_is_asked_through_votes(self):
         calls = []
@@ -316,18 +324,16 @@ class TestCountBundleErrors:
         pool=st.lists(st.integers(-(2**70), 2**70), min_size=1, max_size=4),
         picks=st.lists(st.tuples(st.integers(0, 3), st.integers(-2, 2)), min_size=1, max_size=7),
         parity=st.booleans(),
-        seed_hashes=st.sampled_from((None, 1, 2, 3)),
         rng_seed=st.integers(0, 2**32),
     )
-    def test_simulated_decider_matches_the_oracle(self, vocab, n, p, pool, picks, parity, seed_hashes, rng_seed):
-        # seeds repeat, and differ by multiples of 2^64; a small seed-hash bound splits the lanes into blocks
+    def test_simulated_decider_matches_the_oracle(self, vocab, n, p, pool, picks, parity, rng_seed):
+        # seeds repeat, and differ by multiples of 2^64
         seeds = [pool[i % len(pool)] + shift * 2**64 for i, shift in picks]
         seeds += seeds[-1:] * (1 - len(seeds) % 2)  # an odd bundle, ending in a repeat when one is added
         truth = word_parity if parity else (lambda w: int(sum(w) % 3 == 0))
-        with mock.patch.object(derand, "SEED_HASHES", seed_hashes or derand.SEED_HASHES):
-            got = count_bundle_errors(SimulatedDecider(truth, p), SeedBundle(tuple(seeds)), n, vocab)
-            assert got == simulated_bundle_errors(truth, p, seeds, n, vocab)
-            result = find_universal_seeds(SimulatedDecider(truth, min(p, 0.35)), n, vocab, 0.5, rng_seed, 4)
+        got = count_bundle_errors(SimulatedDecider(truth, p), SeedBundle(tuple(seeds)), n, vocab)
+        assert got == simulated_bundle_errors(truth, p, seeds, n, vocab)
+        result = find_universal_seeds(SimulatedDecider(truth, min(p, 0.35)), n, vocab, 0.5, rng_seed, 4)
         if result.success:
             assert result.per_attempt_errors[-1] == 0
             assert simulated_bundle_errors(truth, min(p, 0.35), result.bundle.seeds, n, vocab) == 0
