@@ -80,65 +80,56 @@ def _random_bits(seed, n: int) -> tuple[int, ...]:
     return tuple(rng.randint(0, 1) for _ in range(n))
 
 
+# Each family's solver names: a case's solver must fully match its family's pattern.
+SOLVERS: dict[str, str] = {
+    "ca": r"plain|compiled-k[1-9][0-9]*",
+    "cvp": r"serial|layered",
+    "s5": r"serial|tree",
+    "do1": r"serial|probe",
+    "derand": r"search",
+}
+
+
 # A runner generates its case's instance, then solves it against ``meter``
-# and returns the record's aux; it returns None when its family has no such solver.
-def _run_ca(case: BenchCase, params: dict, meter: CostMeter) -> dict | None:
+# and returns the record's aux; ``run_case`` has already matched its solver.
+def _run_ca(case: BenchCase, params: dict, meter: CostMeter) -> dict:
     rule = params["rule"]
     tape = _random_bits(case.seed, params["width"])
     if case.solver == "plain":
         automata.evolve(tape, rule, case.size, meter)
         return {"table_size": 8}
-    if case.solver.startswith("compiled-k"):
-        suffix = case.solver[len("compiled-k"):]
-        k = int(suffix)
-        if str(k) != suffix:  # one name per solver: K only as str(k) writes it
-            return None
-        automata.evolve_compiled(tape, rule, case.size, k, meter)
-        return {"table_size": 1 << (2 * k + 1)}
-    return None
+    k = int(case.solver[len("compiled-k"):])
+    automata.evolve_compiled(tape, rule, case.size, k, meter)
+    return {"table_size": 1 << (2 * k + 1)}
 
 
-def _run_cvp(case: BenchCase, params: dict, meter: CostMeter) -> dict | None:
+def _run_cvp(case: BenchCase, params: dict, meter: CostMeter) -> dict:
     n_inputs = params["n_inputs"]
     circuit = random_circuit(case.seed, n_inputs, case.size, params["fanin_max"], params["majority_fraction"])
     bits = _random_bits(f"bits:{case.seed}", n_inputs)
-    if case.solver == "serial":
-        values = eval_serial(circuit, bits, meter)
-    elif case.solver == "layered":
-        values = eval_layered(circuit, bits, meter)
-    else:
-        return None
+    values = (eval_serial if case.solver == "serial" else eval_layered)(circuit, bits, meter)
     return {"out": values[circuit.output]}
 
 
-def _run_s5(case: BenchCase, params: dict, meter: CostMeter) -> dict | None:
+def _run_s5(case: BenchCase, params: dict, meter: CostMeter) -> dict:
     word = s5.random_word(case.seed, case.size)
-    if case.solver == "serial":
-        product = s5.fold_serial(word, meter)
-    elif case.solver == "tree":
-        product = s5.fold_tree(word, meter)
-    else:
-        return None
+    product = (s5.fold_serial if case.solver == "serial" else s5.fold_tree)(word, meter)
     return {"product": s5.format_perm(product)}
 
 
-def _run_do1(case: BenchCase, params: dict, meter: CostMeter) -> dict | None:
+def _run_do1(case: BenchCase, params: dict, meter: CostMeter) -> dict:
     cfg = do1.random_alt_config(case.seed, params["n_inputs"], case.size, params["fanin_max"])
     if case.solver == "serial":
         eval_serial(cfg.circuit, cfg.bits, meter)
         return {"d1": do1.depth_of_one(cfg)}
-    if case.solver == "probe":
-        counting = do1.CountingOracle(do1.optimal_value)
-        estimate = do1.extract_depth_of_one(cfg, counting)
-        # probes all happen against independent states: one parallel round
-        meter.charge(counting.calls, 1 if counting.calls else 0)
-        return {"d1": do1.depth_of_one(cfg), "estimate": estimate, "probes": counting.calls}
-    return None
+    counting = do1.CountingOracle(do1.optimal_value)
+    estimate = do1.extract_depth_of_one(cfg, counting)
+    # probes all happen against independent states: one parallel round
+    meter.charge(counting.calls, 1 if counting.calls else 0)
+    return {"d1": do1.depth_of_one(cfg), "estimate": estimate, "probes": counting.calls}
 
 
-def _run_derand(case: BenchCase, params: dict, meter: CostMeter) -> dict | None:
-    if case.solver != "search":
-        return None
+def _run_derand(case: BenchCase, params: dict, meter: CostMeter) -> dict:
     vocab = params["vocab"]
     decider = derand.SimulatedDecider(derand.word_parity, params["p"])
     result = derand.find_universal_seeds(
@@ -171,9 +162,10 @@ def run_case(case: BenchCase) -> BenchRecord:
         runner = _RUNNERS.get(case.family)
         if runner is None:
             raise BenchError(f"unsupported family {case.family!r}")
-        aux = runner(case, family_params(case.family, case.params), meter)
-        if aux is None:
+        params = family_params(case.family, case.params)
+        if not re.fullmatch(SOLVERS[case.family], case.solver):
             raise BenchError(f"unsupported {case.family} solver {case.solver!r}")
+        aux = runner(case, params, meter)
         work, depth = meter.work, meter.depth
     except Exception as exc:
         work, depth, aux = 0, 0, {"error": _error_slug(exc)}

@@ -19,7 +19,7 @@ import sys
 from dataclasses import asdict
 
 from . import automata, bench, derand, do1, s5
-from .circuits import CircuitError, cvp
+from .circuits import cvp
 from .meters import CostMeter
 from .netlist import parse_assignment, parse_netlist
 
@@ -313,7 +313,7 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except SystemExit as exc:  # argparse exits itself on usage errors and --help
         return int(exc.code or 0)
-    except (CircuitError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except Exception as exc:  # pragma: no cover - defensive

@@ -5,6 +5,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from depthbench import automata
 from depthbench.bench import (
     CSV_HEADER,
     BenchCase,
@@ -138,28 +139,50 @@ class TestRunners:
     @pytest.mark.parametrize(
         "case, slug",
         [
-            # a bad param, then a failed generation, comes before an unknown solver
+            # the family, its params, then its solver are checked before any instance is built
             (BenchCase("ca", 4, "warp", 0, {"widht": 8}), "BenchError_unknown_ca_param_widht_allowed_rule_width"),
-            (BenchCase("s5", 0, "warp", 0), "ValueError_word_length_must_be_1"),
-            (BenchCase("cvp", 0, "warp", 0), "ValueError_n_inputs_n_gates_and_fanin_max_must_all_be_1"),
-            (BenchCase("ca", 4, "compiled-kx", 0), "ValueError_invalid_literal_for_int_with_base_10_x"),
-            # derand refuses its solver before any search
+            (BenchCase("s5", 0, "warp", 0), "BenchError_unsupported_s5_solver_warp"),
+            (BenchCase("cvp", 0, "warp", 0), "BenchError_unsupported_cvp_solver_warp"),
+            (BenchCase("ca", 4, "compiled-kx", 0), "BenchError_unsupported_ca_solver_compiled-kx"),
             (BenchCase("derand", 40, "warp", 0, {"p": 0.7}), "BenchError_unsupported_derand_solver_warp"),
-            # a plain-decimal K below 1 reaches the library's refusal
-            (BenchCase("ca", 4, "compiled-k0", 0), "ValueError_k_must_be_1"),
-            (BenchCase("ca", 4, "compiled-k-1", 0), "ValueError_k_must_be_1"),
-            # K is plain decimal, so each compiled solver has one name
+            # K is an integer of at least 1 in plain decimal, so each compiled solver has one name
+            (BenchCase("ca", 4, "compiled-k0", 0), "BenchError_unsupported_ca_solver_compiled-k0"),
+            (BenchCase("ca", 4, "compiled-k-1", 0), "BenchError_unsupported_ca_solver_compiled-k-1"),
             (BenchCase("ca", 4, "compiled-k01", 0), "BenchError_unsupported_ca_solver_compiled-k01"),
             (BenchCase("ca", 4, "compiled-k+2", 0), "BenchError_unsupported_ca_solver_compiled-k_2"),
             (BenchCase("ca", 4, "compiled-k 2", 0), "BenchError_unsupported_ca_solver_compiled-k_2"),
             (BenchCase("ca", 4, "compiled-k\u0663", 0), "BenchError_unsupported_ca_solver_compiled-k"),
             (BenchCase("ca", 4, "compiled-k1_0", 0), "BenchError_unsupported_ca_solver_compiled-k1_0"),
             (BenchCase("ca", 4, "compiled-k-0", 0), "BenchError_unsupported_ca_solver_compiled-k-0"),
+            (BenchCase("ca", 4, "compiled-k", 0), "BenchError_unsupported_ca_solver_compiled-k"),
         ],
     )
     def test_first_fault_names_the_error_record(self, case, slug):
         rec = run_case(case)
         assert (rec.work, rec.depth, rec.aux) == (0, 0, {"error": slug})
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        name=st.one_of(
+            st.just("plain"),
+            st.one_of(st.integers(0, 16), st.integers(0, 10**30)).map(lambda k: f"compiled-k{k}"),
+            st.text(alphabet="0123456789+-_ x٣", max_size=4).map(lambda t: f"compiled-k{t}"),
+            st.text(max_size=4).map(lambda t: f"compiled-k{t}"),
+            st.text(max_size=12),
+        )
+    )
+    def test_ca_solver_name_is_plain_or_plain_decimal_k(self, name):
+        # the oracle: "plain", or "compiled-k" then ASCII digits not starting with 0
+        suffix = name[len("compiled-k") :] if name.startswith("compiled-k") else ""
+        k = int(suffix) if suffix.isascii() and suffix.isdigit() and not suffix.startswith("0") else None
+        rec = run_case(BenchCase("ca", 1, name, 0, {"width": 8}))
+        if name != "plain" and k is None:
+            assert list(rec.aux) == ["error"] and rec.aux["error"].startswith("BenchError_unsupported_ca_solver")
+        elif k is not None and 2 * k + 1 >= automata.TABLE_BUDGET.bit_length():  # 2^(2k+1) entries > budget
+            assert list(rec.aux) == ["error"] and rec.aux["error"].startswith("CapacityError_"), rec.aux
+        else:
+            assert rec.aux == {"table_size": 8 if k is None else 1 << (2 * k + 1)}
+            assert (rec.work, rec.depth) == (8, 1)
 
     def test_unknown_family_yields_error_record(self):
         rec = run_case(BenchCase("quantum", 4, "serial", seed=0))
