@@ -17,6 +17,7 @@ table over the tape padded with a 0 at each end, a compiled row the k-row one.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from typing import Iterator, Sequence
 
 from .meters import CapacityError, CostMeter
@@ -34,11 +35,15 @@ def format_tape(cells: Sequence[int]) -> str:
     return "".join(str(b) for b in cells)
 
 
+# Every rule's table, built once (step looks its rule up on every call): entry r is r's bits, LSB first
+_RULE_TABLES = tuple(bits[::-1] for bits in product((0, 1), repeat=8))
+
+
 def rule_table(rule: int) -> tuple[int, ...]:
     """Bit b of the rule number, for neighborhood code b = 4*left + 2*center + right."""
     if not 0 <= rule <= 255:
         raise ValueError(f"rule {rule} outside 0..255")
-    return tuple([(rule >> b) & 1 for b in range(8)])  # a list builds faster than a generator
+    return _RULE_TABLES[rule]
 
 
 def _check_tape(cells: Sequence[int]) -> None:

@@ -13,7 +13,7 @@ import time
 from dataclasses import dataclass, field
 
 from . import automata, derand, do1, s5
-from .circuits import eval_layered, eval_serial, random_circuit
+from .circuits import eval_layered, eval_serial, random_circuit, stdlib_draws
 from .meters import CostMeter
 
 # Each family's params and their defaults; a param takes the type of its default.
@@ -76,8 +76,12 @@ def family_params(family: str, params: dict) -> dict:
 
 
 def _random_bits(seed, n: int) -> tuple[int, ...]:
-    rng = random.Random(seed)
-    return tuple(rng.randint(0, 1) for _ in range(n))
+    """n bits, each the draws of ``randint(0, 1)`` on ``random.Random(seed)`` made as ``stdlib_draws``' ``below(2)``.
+
+    ``tests/test_bench.py::test_random_bits_match_randint`` pins them.
+    """
+    below = stdlib_draws(random.Random(seed))[0]
+    return tuple(below(2) for _ in range(n))
 
 
 # Each family's solver names: a case's solver must fully match its family's pattern.

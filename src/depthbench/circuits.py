@@ -9,11 +9,12 @@ never charged as work.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .meters import CostMeter
 
@@ -259,6 +260,49 @@ def cvp(c: Circuit, bits: Sequence[int]) -> int:
     return eval_serial(c, bits)[c.output]
 
 
+def stdlib_draws(rng: random.Random) -> tuple[Callable[[int], int], Callable[[int, int], list[int]]]:
+    """``(below, sample)`` drawing from ``rng.getrandbits`` exactly as ``random.Random`` does.
+
+    ``below(n)`` is ``rng._randbelow(n)`` for n >= 1: draw ``n.bit_length()``
+    bits, redraw while the value is ``>= n``; so ``rng.choice(seq)`` is
+    ``seq[below(len(seq))]`` and ``rng.randint(a, b)`` is ``a + below(b - a + 1)``.
+    ``sample(n, k)`` returns ``rng.sample(range(n), k)`` for 1 <= k <= n from
+    the same draws: swap-remove from an n-slot pool when n is at most
+    ``sample``'s set size, else redraw an index already taken.
+    ``tests/test_circuits.py::TestRandomCircuitMatchesStdlib`` pins both against ``random``.
+    """
+    getrandbits = rng.getrandbits
+
+    def below(n: int) -> int:
+        width = n.bit_length()
+        r = getrandbits(width)
+        while r >= n:
+            r = getrandbits(width)
+        return r
+
+    def sample(n: int, k: int) -> list[int]:
+        picked: list[int] = []
+        if n <= (21 if k <= 5 else 21 + 4 ** math.ceil(math.log(k * 3, 4))):  # sample's setsize
+            pool = list(range(n))
+            for m in range(n, n - k, -1):
+                width = m.bit_length()
+                j = getrandbits(width)
+                while j >= m:
+                    j = getrandbits(width)
+                picked.append(pool[j])
+                pool[j] = pool[m - 1]
+        else:
+            width = n.bit_length()
+            for _ in range(k):
+                j = getrandbits(width)
+                while j >= n or j in picked:  # k is small: a list beats a set
+                    j = getrandbits(width)
+                picked.append(j)
+        return picked
+
+    return below, sample
+
+
 def random_circuit(
     seed: int,
     n_inputs: int,
@@ -269,19 +313,24 @@ def random_circuit(
     """Random DAG circuit: each gate draws distinct inputs among earlier ids.
 
     Deterministic in ``seed``; ``Circuit`` checks the result with ``validate`` when it is built.
+    On ``rng = random.Random(seed)`` each gate makes the draws of
+    ``rng.random() < majority_fraction``, then (unless MAJORITY)
+    ``rng.choice((AND, OR, NOT))``, then (unless NOT)
+    ``rng.randint(1, min(fanin_max, gid))`` and
+    ``sorted(rng.sample(range(gid), fanin))``, through ``stdlib_draws``;
+    ``tests/test_circuits.py::TestRandomCircuitMatchesStdlib`` pins the gates.
     """
     if n_inputs < 1 or n_gates < 1 or fanin_max < 1:
         raise ValueError("n_inputs, n_gates and fanin_max must all be >= 1")
     if not 0.0 <= majority_fraction <= 1.0:
         raise ValueError(f"majority_fraction {majority_fraction} outside [0, 1]")
     rng = random.Random(seed)
-    gates = [Gate(i, GateKind.INPUT) for i in range(n_inputs)]
+    rand = rng.random
+    below, sample = stdlib_draws(rng)
+    kinds = (_AND, _OR, _NOT)
+    gates = [Gate(i, _INPUT) for i in range(n_inputs)]
     for gid in range(n_inputs, n_inputs + n_gates):
-        if rng.random() < majority_fraction:
-            kind = GateKind.MAJORITY
-        else:
-            kind = rng.choice((GateKind.AND, GateKind.OR, GateKind.NOT))
-        fanin = 1 if kind is GateKind.NOT else rng.randint(1, min(fanin_max, gid))
-        inputs = tuple(sorted(rng.sample(range(gid), fanin)))
-        gates.append(Gate(gid, kind, inputs))
+        kind = _MAJORITY if rand() < majority_fraction else kinds[below(3)]
+        fanin = 1 if kind is _NOT else 1 + below(min(fanin_max, gid))
+        gates.append(Gate(gid, kind, tuple(sorted(sample(gid, fanin)))))
     return Circuit(tuple(gates), n_inputs, n_inputs + n_gates - 1)

@@ -33,6 +33,7 @@ from .circuits import (
     eval_serial,
     gate_value,
     logic_ids,
+    stdlib_draws,
     terminal_values,
 )
 
@@ -393,25 +394,39 @@ def random_alt_circuit(seed: int, n_inputs: int, n_gates: int, fanin_max: int = 
     the gate feed that gives it its depth.  Like every ``Circuit``, the
     result is checked by ``validate`` when built, and it always satisfies
     ``validate_alternating``.
+
+    On ``rng = random.Random(seed)`` each gate makes the draws of
+    ``rng.choice((AND, OR))``, then for an OR with AND gates before it
+    ``rng.random() < 0.5`` (true: the AND gates are its pool, false: the
+    terminals), then ``rng.randint(1, min(fanin_max, len(pool)))`` and
+    ``sorted(rng.sample(pool, fanin))``, where an AND gate's pool is the
+    terminals followed by the OR gates, in id order.  ``stdlib_draws`` makes
+    those draws and the sampled indices are mapped into the pool without
+    building it; ``tests/test_do1.py::TestRandomAltCircuitMatchesStdlib``
+    pins the gates.
     """
     if n_inputs < 1 or n_gates < 1 or fanin_max < 1:
         raise ValueError("n_inputs, n_gates and fanin_max must all be >= 1")
     rng = random.Random(seed)
+    rand = rng.random
+    below, sample = stdlib_draws(rng)
     gates = [Gate(i, GateKind.INPUT) for i in range(n_inputs)]
-    by_kind: dict[GateKind, list[int]] = {GateKind.AND: [], GateKind.OR: []}
+    ands: list[int] = []
+    ors: list[int] = []
     for gid in range(n_inputs, n_inputs + n_gates):
-        kind = rng.choice((GateKind.AND, GateKind.OR))
-        opposite = GateKind.OR if kind is GateKind.AND else GateKind.AND
-        if kind is GateKind.OR and by_kind[opposite] and rng.random() < 0.5:
-            pool = list(by_kind[opposite])
-        elif kind is GateKind.OR:
-            pool = list(range(n_inputs))
-        else:
-            pool = list(range(n_inputs)) + by_kind[opposite]
-        fanin = rng.randint(1, min(fanin_max, len(pool)))
-        inputs = tuple(sorted(rng.sample(pool, fanin)))
-        gates.append(Gate(gid, kind, inputs))
-        by_kind[kind].append(gid)
+        kind = (GateKind.AND, GateKind.OR)[below(2)]
+        if kind is GateKind.AND:  # pool: terminals 0..n_inputs-1, then the OR gates
+            n = n_inputs + len(ors)
+            inputs = [j if j < n_inputs else ors[j - n_inputs] for j in sample(n, 1 + below(min(fanin_max, n)))]
+            ands.append(gid)
+        elif ands and rand() < 0.5:  # pool: the AND gates
+            n = len(ands)
+            inputs = [ands[j] for j in sample(n, 1 + below(min(fanin_max, n)))]
+            ors.append(gid)
+        else:  # pool: the terminals
+            inputs = sample(n_inputs, 1 + below(min(fanin_max, n_inputs)))
+            ors.append(gid)
+        gates.append(Gate(gid, kind, tuple(sorted(inputs))))
     return Circuit(tuple(gates), n_inputs, n_inputs + n_gates - 1)
 
 
@@ -422,11 +437,18 @@ def random_alt_config(
     fanin_max: int = 3,
     require_hot: bool = False,
 ) -> CircuitConfig:
-    """Random configuration; with ``require_hot`` redraw, up to 64 times, until depth-of-one >= 1."""
+    """Random configuration; with ``require_hot`` redraw, up to 64 times, until depth-of-one >= 1.
+
+    On ``rng = random.Random(seed)`` each draw is ``random_alt_circuit(rng.getrandbits(32), ...)``
+    and then ``n_inputs`` bits, each the draws of ``rng.randint(0, 1)`` made as
+    ``stdlib_draws``' ``below(2)``; ``tests/test_do1.py::TestRandomAltCircuitMatchesStdlib``
+    pins the configurations.
+    """
     rng = random.Random(seed)
+    below = stdlib_draws(rng)[0]
     for _ in range(64):
         circuit = random_alt_circuit(rng.getrandbits(32), n_inputs, n_gates, fanin_max)
-        bits = tuple(rng.randint(0, 1) for _ in range(n_inputs))
+        bits = tuple(below(2) for _ in range(n_inputs))
         cfg = CircuitConfig(circuit, bits)
         if not require_hot or depth_of_one(cfg) >= 1:
             return cfg

@@ -48,6 +48,13 @@ def test_rule_table_bits():
         rule_table(256)
 
 
+def test_rule_table_is_every_rules_bits():
+    assert [rule_table(rule) for rule in range(256)] == [tuple((rule >> b) & 1 for b in range(8)) for rule in range(256)]
+    for rule in (-1, 256, 2**64):
+        with pytest.raises(ValueError, match=f"^rule {rule} outside 0..255$"):
+            rule_table(rule)
+
+
 def test_evolve_is_step_composition():
     tape = parse_tape("0001011101")
     rules = (30, 90, 110, 184)

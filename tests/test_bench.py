@@ -1,11 +1,12 @@
 """Suite runner determinism, CSV round trips, and the two-path report."""
 
 import math
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from depthbench import automata
+from depthbench import automata, bench
 from depthbench.bench import (
     CSV_HEADER,
     BenchCase,
@@ -79,6 +80,13 @@ def small_suite():
 def by_solver(records, family):
     return {r.solver: r for r in records if r.family == family}
 
+
+
+@pytest.mark.parametrize("seed", [0, 1, -1, 2**64 + 1, "bits:0", "bits:17"])
+def test_random_bits_match_randint(seed):
+    """The ca tapes and cvp assignments are the bits ``randint(0, 1)`` draws, seed for seed."""
+    rng = random.Random(seed)
+    assert bench._random_bits(seed, 200) == tuple(rng.randint(0, 1) for _ in range(200))
 
 class TestRunners:
     def test_ca_depth_tradeoff(self):

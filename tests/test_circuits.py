@@ -19,6 +19,7 @@ from depthbench.circuits import (
     gate_value,
     logic_ids,
     random_circuit,
+    stdlib_draws,
     topo_layers,
 )
 from depthbench.meters import CostMeter
@@ -390,3 +391,62 @@ class TestRandomCircuit:
             random_circuit(0, 2, 0)
         with pytest.raises(ValueError):
             random_circuit(0, 2, 5, majority_fraction=1.5)
+
+
+def stdlib_random_circuit(seed, n_inputs, n_gates, fanin_max=3, majority_fraction=0.25):
+    """The gates ``random_circuit`` must build, drawn through Random's own methods."""
+    rng = random.Random(seed)
+    gates = [Gate(i, GateKind.INPUT) for i in range(n_inputs)]
+    for gid in range(n_inputs, n_inputs + n_gates):
+        if rng.random() < majority_fraction:
+            kind = GateKind.MAJORITY
+        else:
+            kind = rng.choice((GateKind.AND, GateKind.OR, GateKind.NOT))
+        fanin = 1 if kind is GateKind.NOT else rng.randint(1, min(fanin_max, gid))
+        inputs = tuple(sorted(rng.sample(range(gid), fanin)))
+        gates.append(Gate(gid, kind, inputs))
+    return tuple(gates)
+
+
+class TestRandomCircuitMatchesStdlib:
+    """random_circuit and stdlib_draws copy Random's draws; a Python whose
+    Random draws differently fails here by name, not only through the sweep digest."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 42, -1, -(2**40), 2**64, 2**64 + 1, 3**50])
+    @pytest.mark.parametrize(
+        "n_inputs, n_gates, fanin_max, majority_fraction",
+        [(1, 1, 1, 0.0), (4, 64, 3, 0.25), (8, 512, 3, 0.25), (2, 80, 8, 0.2), (4, 200, 12, 1.0)],
+    )
+    def test_fixed_seeds(self, seed, n_inputs, n_gates, fanin_max, majority_fraction):
+        c = random_circuit(seed, n_inputs, n_gates, fanin_max, majority_fraction)
+        assert c.gates == stdlib_random_circuit(seed, n_inputs, n_gates, fanin_max, majority_fraction)
+
+    # fanin_max past 5 grows sample's set size, so small ids take the pool path
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(-(2**70), 2**70),
+        n_inputs=st.integers(1, 8),
+        n_gates=st.integers(1, 64),
+        fanin_max=st.integers(1, 8),
+        majority_fraction=st.sampled_from([0.0, 0.2, 1.0]),
+    )
+    def test_drawn_params(self, seed, n_inputs, n_gates, fanin_max, majority_fraction):
+        c = random_circuit(seed, n_inputs, n_gates, fanin_max, majority_fraction)
+        assert c.gates == stdlib_random_circuit(seed, n_inputs, n_gates, fanin_max, majority_fraction)
+
+    @pytest.mark.parametrize("seed", [0, 1, -7, 2**64 + 1])
+    def test_sample_equals_random_sample(self, seed):
+        # n <= 21 takes the pool path, and so does k > 5 (set size 85 or more); k <= 5 above n = 21 takes the set path
+        for n in range(1, 41):
+            for k in range(1, n + 1):
+                rng, ref = random.Random(seed), random.Random(seed)
+                assert stdlib_draws(rng)[1](n, k) == ref.sample(range(n), k), (n, k)
+                assert rng.getrandbits(32) == ref.getrandbits(32), (n, k)  # the same draws were made
+
+    @pytest.mark.parametrize("seed", [0, 1, -7, 2**64 + 1])
+    def test_below_equals_randrange(self, seed):
+        rng, ref = random.Random(seed), random.Random(seed)
+        below = stdlib_draws(rng)[0]
+        for n in [*range(1, 70), 255, 256, 257, 1000, 2**31, 2**40 + 1]:
+            assert [below(n) for _ in range(4)] == [ref.randrange(n) for _ in range(4)], n
+        assert rng.getrandbits(32) == ref.getrandbits(32)

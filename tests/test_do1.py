@@ -109,6 +109,71 @@ class TestAlternation:
             validate_alternating(random_alt_circuit(seed, 1 + seed % 5, 1 + seed % 30))
 
 
+
+def stdlib_random_alt_circuit(seed, n_inputs, n_gates, fanin_max=3):
+    """The gates ``random_alt_circuit`` must build, drawn through Random's own methods from a built pool."""
+    rng = random.Random(seed)
+    gates = [Gate(i, GateKind.INPUT) for i in range(n_inputs)]
+    by_kind = {GateKind.AND: [], GateKind.OR: []}
+    for gid in range(n_inputs, n_inputs + n_gates):
+        kind = rng.choice((GateKind.AND, GateKind.OR))
+        opposite = GateKind.OR if kind is GateKind.AND else GateKind.AND
+        if kind is GateKind.OR and by_kind[opposite] and rng.random() < 0.5:
+            pool = list(by_kind[opposite])
+        elif kind is GateKind.OR:
+            pool = list(range(n_inputs))
+        else:
+            pool = list(range(n_inputs)) + by_kind[opposite]
+        fanin = rng.randint(1, min(fanin_max, len(pool)))
+        inputs = tuple(sorted(rng.sample(pool, fanin)))
+        gates.append(Gate(gid, kind, inputs))
+        by_kind[kind].append(gid)
+    return tuple(gates)
+
+
+def stdlib_random_alt_config(seed, n_inputs, n_gates, fanin_max=3, require_hot=False):
+    """The (gates, bits) ``random_alt_config`` must return, its bits drawn with ``randint``."""
+    rng = random.Random(seed)
+    for _ in range(64):
+        gates = stdlib_random_alt_circuit(rng.getrandbits(32), n_inputs, n_gates, fanin_max)
+        bits = tuple(rng.randint(0, 1) for _ in range(n_inputs))
+        if not require_hot or depth_of_one(cfg_from(Circuit(gates, n_inputs, len(gates) - 1), bits)) >= 1:
+            return gates, bits
+    raise RuntimeError("no hot configuration found in 64 draws")
+
+
+class TestRandomAltCircuitMatchesStdlib:
+    """random_alt_circuit and random_alt_config copy Random's draws; a Python
+    whose Random draws differently fails here by name, not only through the sweep digest."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 42, -1, -(2**40), 2**64, 2**64 + 1, 3**50])
+    @pytest.mark.parametrize(
+        "n_inputs, n_gates, fanin_max", [(1, 1, 1), (8, 64, 3), (8, 512, 3), (2, 80, 8), (4, 200, 12)]
+    )
+    def test_fixed_seeds(self, seed, n_inputs, n_gates, fanin_max):
+        c = random_alt_circuit(seed, n_inputs, n_gates, fanin_max)
+        assert c.gates == stdlib_random_alt_circuit(seed, n_inputs, n_gates, fanin_max)
+
+    # fanin_max past 5 grows sample's set size, so small pools take the pool path
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(-(2**70), 2**70),
+        n_inputs=st.integers(1, 8),
+        n_gates=st.integers(1, 64),
+        fanin_max=st.integers(1, 8),
+    )
+    def test_drawn_params(self, seed, n_inputs, n_gates, fanin_max):
+        c = random_alt_circuit(seed, n_inputs, n_gates, fanin_max)
+        assert c.gates == stdlib_random_alt_circuit(seed, n_inputs, n_gates, fanin_max)
+
+    @pytest.mark.parametrize("seed", [0, 1, -1, 2**64 + 1])
+    @pytest.mark.parametrize("require_hot", [False, True])
+    def test_configs(self, seed, require_hot):
+        for n_inputs, n_gates in [(1, 1), (3, 8), (8, 64)]:
+            cfg = random_alt_config(seed, n_inputs, n_gates, require_hot=require_hot)
+            assert (cfg.circuit.gates, cfg.bits) == stdlib_random_alt_config(seed, n_inputs, n_gates, 3, require_hot)
+
+
 class TestDepthOfOne:
     def test_chain_depths(self):
         for k in (1, 2, 3, 5, 8, 16, 64):
