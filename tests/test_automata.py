@@ -49,7 +49,8 @@ def test_rule_table_bits():
 
 
 def test_rule_table_is_every_rules_bits():
-    assert [rule_table(rule) for rule in range(256)] == [tuple((rule >> b) & 1 for b in range(8)) for rule in range(256)]
+    expected = [tuple((rule >> b) & 1 for b in range(8)) for rule in range(256)]
+    assert [rule_table(rule) for rule in range(256)] == expected
     for rule in (-1, 256, 2**64):
         with pytest.raises(ValueError, match=f"^rule {rule} outside 0..255$"):
             rule_table(rule)

@@ -81,7 +81,6 @@ def by_solver(records, family):
     return {r.solver: r for r in records if r.family == family}
 
 
-
 @pytest.mark.parametrize("seed", [0, 1, -1, 2**64 + 1, "bits:0", "bits:17"])
 def test_random_bits_match_randint(seed):
     """The ca tapes and cvp assignments are the bits ``randint(0, 1)`` draws, seed for seed."""

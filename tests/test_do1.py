@@ -109,7 +109,6 @@ class TestAlternation:
             validate_alternating(random_alt_circuit(seed, 1 + seed % 5, 1 + seed % 30))
 
 
-
 def stdlib_random_alt_circuit(seed, n_inputs, n_gates, fanin_max=3):
     """The gates ``random_alt_circuit`` must build, drawn through Random's own methods from a built pool."""
     rng = random.Random(seed)
