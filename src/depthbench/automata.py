@@ -3,8 +3,10 @@
 A rule's 8-entry table maps the (left, center, right) neighborhood, read as
 a 3-bit number, to the next center bit.  Compiling k rows folds k plain
 steps into one table over (2k+1)-bit windows: one lookup round then
-advances k rows at the price of a 2^(2k+1)-entry table, built by composing
-the rule with the (k-1)-row table in O(2^(2k+1)) lookups.  Cells outside the
+advances k rows at the price of a 2^(2k+1)-entry table, built bit-sliced:
+each window cell is one 2^(2k+1)-bit int whose bit w is that cell in
+window w, so k rows of bitwise rule updates evolve every window at once
+(about k^2 plane updates).  Cells outside the
 tape read as 0 on every row.  A cell at least k from either end depends
 only on its width-(2k+1) light cone of real cells, so one lookup
 reproduces k plain steps exactly; the k cells nearest each end instead
@@ -110,6 +112,16 @@ class CompiledRule:
     k: int
     table: tuple[int, ...]  # index reads the window left-to-right, MSB first
 
+    def __post_init__(self) -> None:
+        if self.k < 1:
+            raise ValueError("k must be >= 1")
+        rule_table(self.rule)
+        n = len(self.table)  # 2^(2k+1) is built only once n's bit length matches it
+        if n.bit_length() != 2 * self.k + 2 or n != 1 << (2 * self.k + 1):
+            raise ValueError(f"a {self.k}-row table needs 2^{2 * self.k + 1} entries, got {n}")
+        if self.table.count(0) + self.table.count(1) != n:
+            raise ValueError("table entries must be 0 or 1")
+
 
 def _check_table_budget(k: int) -> None:
     """Refuse a 2^(2k+1)-entry table over ``TABLE_BUDGET`` without building that number."""
@@ -120,28 +132,53 @@ def _check_table_budget(k: int) -> None:
     raise CapacityError(f"{entries} table entries exceeds budget {TABLE_BUDGET}")
 
 
+_BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _mux(s: int, a: int, b: int) -> int:
+    """Bitwise ``a if s else b``, without negating ``s``."""
+    return a if a is b else b ^ (s & (a ^ b))
+
+
 def compile_steps(rule: int, k: int) -> CompiledRule:
     """Build the k-row table: entry = center cell after k plain steps of its window.
 
-    The j-row table follows from the (j-1)-row one: the center of a
-    (2j+1)-cell window, j rows down, is the rule applied to the three cells
-    beside it one row earlier, and those are the (j-1)-row entries of the
-    window's left, middle and right (2j-1)-cell sub-windows.  Building every
-    level takes fewer than (4/3)*2^(2k+1) lookups, so the entry budget bounds
-    compile time as well as memory.
+    The build is bit-sliced: every one of the 2^(2k+1) windows evolves at
+    once.  Window cell i is a "plane", one 2^(2k+1)-bit int whose bit w is
+    that cell in window w (the window's bit 2k-i), laid down by shift-or
+    doubling of its period.  One row replaces each neighbouring (l, c, r)
+    triple of planes by the rule applied bitwise: for each (l, c) the rule
+    yields 0, 1, r or not-r, and two muxes on c and one on l pick among
+    them.  After k rows one plane is left, and its bit w is entry w.  That
+    is k^2 plane updates of a few bitwise ops each, with at most 2k+1 planes
+    (and a few temporaries) alive, fewer bytes than the table they make, so
+    the entry budget bounds build time as well as memory.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     _check_table_budget(k)
-    one_row = rule_table(rule)
-    table = one_row
-    for j in range(2, k + 1):
-        prev, mask = table, (1 << (2 * j - 1)) - 1
-        table = tuple(
-            one_row[(prev[w >> 2] << 2) | (prev[(w >> 1) & mask] << 1) | prev[w & mask]]
-            for w in range(1 << (2 * j + 1))
-        )
-    return CompiledRule(rule, k, table)
+    rule_table(rule)
+    width = 2 * k + 1
+    size = 1 << width
+    ones = (1 << size) - 1
+    planes = []
+    for b in range(width - 1, -1, -1):  # window cell i holds the code's bit b = 2k - i
+        half = 1 << b
+        plane, period = ((1 << half) - 1) << half, 2 * half
+        while period < size:
+            plane |= plane << period
+            period *= 2
+        planes.append(plane)
+    # for each (l, c), bit 0 is the rule at (l, c, 0) and bit 1 at (l, c, 1): 0, not-r, r or 1
+    p00, p01, p10, p11 = ((rule >> (4 * l + 2 * c)) & 3 for l in (0, 1) for c in (0, 1))
+    for _ in range(k):
+        for i in range(len(planes) - 2):  # left to right, so planes i+1 and i+2 are still the old row
+            l, c, r = planes[i : i + 3]
+            g = (0, r ^ ones, r, ones)
+            planes[i] = _mux(l, _mux(c, g[p11], g[p10]), _mux(c, g[p01], g[p00]))
+        del planes[-2:]
+    bits = format(planes.pop(), f"0{size}b")[::-1].encode().translate(_BIT_BYTES)
+    return CompiledRule(rule, k, tuple(bits))
 
 
 def step_compiled(cells: Sequence[int], cr: CompiledRule, meter: CostMeter | None = None) -> tuple[int, ...]:

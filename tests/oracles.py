@@ -159,6 +159,24 @@ def naive_evolve(cells, rule: int, steps: int) -> tuple[int, ...]:
     return tuple(row)
 
 
+def compose_tables(rule: int, k: int) -> tuple[int, ...]:
+    """The k-row window table, built entry by entry from the (k-1)-row one.
+
+    Entry w of the j-row table is the center of the (2j+1)-cell window w
+    (MSB first) after j rows: the rule applied to the (j-1)-row entries of
+    its left, middle and right (2j-1)-cell sub-windows.
+    """
+    one_row = tuple((rule >> b) & 1 for b in range(8))
+    table = one_row
+    for j in range(2, k + 1):
+        prev, mask = table, (1 << (2 * j - 1)) - 1
+        table = tuple(
+            one_row[(prev[w >> 2] << 2) | (prev[(w >> 1) & mask] << 1) | prev[w & mask]]
+            for w in range(1 << (2 * j + 1))
+        )
+    return table
+
+
 def word_product(word) -> tuple[int, ...]:
     """The product word[0] o word[1] o ... of permutations, read left to right.
 

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from depthbench import automata
 from depthbench.automata import (
     CapacityError,
+    CompiledRule,
     cell_at,
     compile_steps,
     evolve,
@@ -23,7 +24,7 @@ from depthbench.automata import (
 )
 from depthbench.meters import CostMeter
 
-from oracles import naive_evolve
+from oracles import compose_tables, naive_evolve
 from strategies import ca_runs
 
 
@@ -98,6 +99,38 @@ def test_compiled_entries_spot_check_k8():
         cr = compile_steps(rule, 8)
         for code in rng.sample(range(len(cr.table)), 200):
             assert cr.table[code] == naive_evolve(_window(code, 8), rule, 8)[8], (rule, code)
+
+
+def test_compiled_tables_match_the_composition_oracle():
+    cases = [(rule, k) for k in range(1, 7) for rule in range(256)] + [(rule, 8) for rule in (30, 90, 110)]
+    for rule, k in cases:
+        table = compile_steps(rule, k).table
+        assert type(table) is tuple and table == compose_tables(rule, k), (rule, k)
+
+
+def test_compile_steps_checks_k_then_budget_then_rule():
+    with pytest.raises(ValueError, match="^k must be >= 1$"):
+        compile_steps(300, 0)
+    with pytest.raises(CapacityError):
+        compile_steps(300, 40)
+    with pytest.raises(ValueError, match="^rule 300 outside 0..255$"):
+        compile_steps(300, 2)
+
+
+@pytest.mark.parametrize(
+    "rule, k, table, message",
+    [
+        (110, 0, (0, 0), "k must be >= 1"),  # step_compiled would return the tape twice over
+        (300, 1, (0,) * 8, "rule 300 outside 0..255"),
+        (110, 2, (0,) * 8, "a 2-row table needs 2^5 entries, got 8"),  # step_compiled would raise IndexError
+        (110, 10**9, (), "a 1000000000-row table needs 2^2000000001 entries, got 0"),
+        (110, 2, (5,) * 32, "table entries must be 0 or 1"),  # step_compiled would write 5s into the tape
+    ],
+    ids=["k-below-one", "rule-out-of-range", "table-too-short", "huge-k", "entry-not-a-bit"],
+)
+def test_compiled_rule_refuses_tables_that_give_wrong_answers(rule, k, table, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        CompiledRule(rule, k, table)
 
 
 def test_capacity_budget(monkeypatch):
