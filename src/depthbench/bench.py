@@ -1,8 +1,9 @@
 """Scaling suite: run serial and parallel solvers across sizes, emit CSV + report.
 
-Records carry (work, depth) from the solver's meter plus wall time; only
-wall time is allowed to vary between reruns with the same seeds, so the
-CSV minus its wall_ns column is byte-reproducible.
+Each family is one ``Family`` record in ``FAMILIES``.  Records carry (work,
+depth) from the solver's meter plus wall time; only wall time is allowed to
+vary between reruns with the same seeds, so the CSV minus its wall_ns
+column is byte-reproducible.
 """
 
 from __future__ import annotations
@@ -11,21 +12,11 @@ import random
 import re
 import time
 from dataclasses import dataclass, field
+from typing import Callable
 
 from . import automata, derand, do1, s5
 from .circuits import eval_layered, eval_serial, random_circuit, stdlib_draws
 from .meters import CostMeter
-
-# Each family's params and their defaults; a param takes the type of its default.
-FAMILY_PARAMS: dict[str, dict[str, int | float]] = {
-    "ca": {"rule": 110, "width": 64},
-    "cvp": {"n_inputs": 4, "fanin_max": 3, "majority_fraction": 0.2},
-    "s5": {},
-    "do1": {"n_inputs": 6, "fanin_max": 3},
-    "derand": {"p": 0.3, "vocab": 2, "delta_all": 0.5, "max_attempts": 16},
-}
-
-FAMILIES = tuple(FAMILY_PARAMS)
 
 CASE_KEYS = ("family", "size", "solver", "seed", "params")
 
@@ -57,22 +48,37 @@ class BenchRecord:
     aux: dict = field(default_factory=dict)
 
 
-def _check_type(key: str, value, want: type) -> None:
-    """A str, an int or a number (int or float) as ``want`` is str, int or float; never a bool."""
+@dataclass(frozen=True)
+class Family:
+    """Everything the harness knows of one family; ``FAMILIES`` maps each name to its record."""
+
+    params: dict[str, int | float]  # each param's default; a param takes the type of its default
+    solvers: str  # a case's solver must fully match this pattern
+    run: Callable[[BenchCase, dict, CostMeter], dict]  # generates and solves a matched case; returns its aux
+    sweep: tuple[tuple[int, ...], tuple[str, ...], int, dict]  # ``default_suite``: (sizes, solvers, seed, params)
+    columns: dict[str, Callable[[BenchRecord], str]] = field(default_factory=dict)  # report header -> cell
+
+
+def _checked(key: str, value, want: type):
+    """``value`` as ``want``: a str, an int or a number (a float, or an int within float range)
+    as ``want`` is str, int or float; never a bool."""
     if isinstance(value, bool) or not isinstance(value, (int, float) if want is float else want):
         name = {str: "a string", int: "an integer", float: "a number"}[want]
         raise BenchError(f"{key!r} must be {name}, not {value!r}")
+    try:
+        return want(value)
+    except OverflowError:  # an int past float range, maybe too long to format
+        raise BenchError(f"{key!r} must be a number within float range") from None
 
 
 def family_params(family: str, params: dict) -> dict:
-    """``params`` over ``family``'s defaults; an unknown key or a mistyped value raises ``BenchError``."""
-    defaults = FAMILY_PARAMS[family]
+    """``params`` over ``family``'s defaults; an unknown key, a mistyped value or an
+    int past float range for a float param raises ``BenchError``."""
+    defaults = FAMILIES[family].params
     unknown = sorted(set(params) - set(defaults))
     if unknown:
         raise BenchError(f"unknown {family} param {unknown[0]!r} (allowed: {', '.join(defaults) or 'none'})")
-    for key, value in params.items():
-        _check_type(key, value, type(defaults[key]))
-    return {key: type(default)(params.get(key, default)) for key, default in defaults.items()}
+    return {**defaults, **{key: _checked(key, value, type(defaults[key])) for key, value in params.items()}}
 
 
 def _random_bits(seed, n: int) -> tuple[int, ...]:
@@ -84,18 +90,6 @@ def _random_bits(seed, n: int) -> tuple[int, ...]:
     return tuple(below(2) for _ in range(n))
 
 
-# Each family's solver names: a case's solver must fully match its family's pattern.
-SOLVERS: dict[str, str] = {
-    "ca": r"plain|compiled-k[1-9][0-9]*",
-    "cvp": r"serial|layered",
-    "s5": r"serial|tree",
-    "do1": r"serial|probe",
-    "derand": r"search",
-}
-
-
-# A runner generates its case's instance, then solves it against ``meter``
-# and returns the record's aux; ``run_case`` has already matched its solver.
 def _run_ca(case: BenchCase, params: dict, meter: CostMeter) -> dict:
     rule = params["rule"]
     tape = _random_bits(case.seed, params["width"])
@@ -145,12 +139,32 @@ def _run_derand(case: BenchCase, params: dict, meter: CostMeter) -> dict:
     return {"k": result.k, "attempts": result.attempts, "found": int(result.success)}
 
 
-_RUNNERS = {
-    "ca": _run_ca,
-    "cvp": _run_cvp,
-    "s5": _run_s5,
-    "do1": _run_do1,
-    "derand": _run_derand,
+# In report order.  Each ``run`` is a runner of this module that calls library functions by
+# their names here, so rebinding such a name reaches every call; a library function stored in
+# a record would not be rebound.
+FAMILIES: dict[str, Family] = {
+    "ca": Family(
+        params={"rule": 110, "width": 64}, solvers=r"plain|compiled-k[1-9][0-9]*", run=_run_ca,
+        sweep=((16, 32, 64), ("plain", "compiled-k1", "compiled-k2", "compiled-k3"), 101, {"rule": 110}),
+        columns={"table_size": lambda r: str(r.aux.get("table_size", "-"))},
+    ),
+    "cvp": Family(
+        params={"n_inputs": 4, "fanin_max": 3, "majority_fraction": 0.2}, solvers=r"serial|layered", run=_run_cvp,
+        sweep=((8, 32, 128, 512), ("serial", "layered"), 202, {}),
+    ),
+    "s5": Family(
+        params={}, solvers=r"serial|tree", run=_run_s5,
+        sweep=((16, 64, 256, 1024), ("serial", "tree"), 303, {}),
+        columns={"memorization": lambda r: f"e^({r.size} ln 120) ~ 10^{s5.memorization_log10(r.size):.1f}"},
+    ),
+    "do1": Family(
+        params={"n_inputs": 6, "fanin_max": 3}, solvers=r"serial|probe", run=_run_do1,
+        sweep=((8, 32, 128), ("serial", "probe"), 404, {}),
+    ),
+    "derand": Family(
+        params={"p": 0.3, "vocab": 2, "delta_all": 0.5, "max_attempts": 16}, solvers=r"search", run=_run_derand,
+        sweep=((4, 6, 8), ("search",), 505, {"p": 0.3}),
+    ),
 }
 
 
@@ -163,13 +177,13 @@ def run_case(case: BenchCase) -> BenchRecord:
     start = time.perf_counter_ns()
     meter = CostMeter()
     try:
-        runner = _RUNNERS.get(case.family)
-        if runner is None:
+        family = FAMILIES.get(case.family)
+        if family is None:
             raise BenchError(f"unsupported family {case.family!r}")
         params = family_params(case.family, case.params)
-        if not re.fullmatch(SOLVERS[case.family], case.solver):
+        if not re.fullmatch(family.solvers, case.solver):
             raise BenchError(f"unsupported {case.family} solver {case.solver!r}")
-        aux = runner(case, params, meter)
+        aux = family.run(case, params, meter)
         work, depth = meter.work, meter.depth
     except Exception as exc:
         work, depth, aux = 0, 0, {"error": _error_slug(exc)}
@@ -255,13 +269,6 @@ def parse_csv(text: str) -> list[BenchRecord]:
     return records
 
 
-# The report's extra columns per family: each column's header and how a record fills it.
-_REPORT_COLUMNS = {
-    "ca": {"table_size": lambda r: str(r.aux.get("table_size", "-"))},
-    "s5": {"memorization": lambda r: f"e^({r.size} ln 120) ~ 10^{s5.memorization_log10(r.size):.1f}"},
-}
-
-
 def emit_report(records: list[BenchRecord]) -> str:
     """Plain-text depth-vs-size tables per family, built only from record fields.
 
@@ -278,7 +285,7 @@ def emit_report(records: list[BenchRecord]) -> str:
             sections.append("(no records)")
             sections.append("")
             continue
-        extra = _REPORT_COLUMNS.get(family, {})
+        extra = FAMILIES[family].columns if family in FAMILIES else {}
         header = ["size", "solver", "work", "depth", *extra]
         table = [header]
         for r in rows:
@@ -307,10 +314,10 @@ def _case_from(entry: dict) -> BenchCase:
         raise TypeError(f"'params' must be a JSON object, not {params!r}")
     case = BenchCase(entry["family"], entry["size"], entry["solver"], entry.get("seed", 0), dict(params))
     for key, want in (("family", str), ("size", int), ("solver", str), ("seed", int)):
-        _check_type(key, getattr(case, key), want)
+        _checked(key, getattr(case, key), want)
     _check_text("family", case.family)
     _check_text("solver", case.solver)
-    if case.family in FAMILY_PARAMS:  # unknown families stay run-time error records
+    if case.family in FAMILIES:  # unknown families stay run-time error records
         family_params(case.family, case.params)
     return case
 
@@ -335,19 +342,10 @@ def load_suite(doc: dict) -> list[BenchCase]:
 
 def default_suite() -> list[BenchCase]:
     """The standard 37-case sweep that ``depthbench bench`` runs when given no suite ``cases``."""
-    cases: list[BenchCase] = []
-    for size in (16, 32, 64):
-        for solver in ("plain", "compiled-k1", "compiled-k2", "compiled-k3"):
-            cases.append(BenchCase("ca", size, solver, seed=101, params={"rule": 110}))
-    for size in (8, 32, 128, 512):
-        for solver in ("serial", "layered"):
-            cases.append(BenchCase("cvp", size, solver, seed=202))
-    for size in (16, 64, 256, 1024):
-        for solver in ("serial", "tree"):
-            cases.append(BenchCase("s5", size, solver, seed=303))
-    for size in (8, 32, 128):
-        for solver in ("serial", "probe"):
-            cases.append(BenchCase("do1", size, solver, seed=404))
-    for size in (4, 6, 8):
-        cases.append(BenchCase("derand", size, "search", seed=505, params={"p": 0.3}))
-    return cases
+    return [
+        BenchCase(name, size, solver, seed, dict(params))
+        for name, family in FAMILIES.items()
+        for sizes, solvers, seed, params in [family.sweep]
+        for size in sizes
+        for solver in solvers
+    ]

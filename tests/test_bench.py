@@ -34,6 +34,7 @@ BAD_CASES = [
     ({"family": ["ca"], "size": 8, "solver": "plain"}, "family"),
     ({"family": "s5", "size": 8, "solver": None}, "solver"),
     ({"family": "ca", "size": 8, "solver": ["plain"]}, "solver"),
+    ({"family": "derand", "size": 4, "solver": "search", "params": {"p": 10**400}}, "p"),  # past float range
 ]
 
 
@@ -162,6 +163,8 @@ class TestRunners:
             (BenchCase("ca", 4, "compiled-k1_0", 0), "BenchError_unsupported_ca_solver_compiled-k1_0"),
             (BenchCase("ca", 4, "compiled-k-0", 0), "BenchError_unsupported_ca_solver_compiled-k-0"),
             (BenchCase("ca", 4, "compiled-k", 0), "BenchError_unsupported_ca_solver_compiled-k"),
+            # an int past float range, too long for str() to format
+            (BenchCase("derand", 4, "search", 0, {"p": 10**5000}), "BenchError__p_must_be_a_number_within_float_range"),
         ],
     )
     def test_first_fault_names_the_error_record(self, case, slug):

@@ -1,4 +1,4 @@
-"""README as a spec: its ``sh`` examples run as transcripts, and its bench params and solvers match the code.
+"""README as a spec: its ``sh`` examples run as transcripts, and its bench families, params and solvers match the code.
 
 README's "Tests" section defines the transcript format: ``$ cat FILE``, ``$ depthbench ARGS``, the
 ``# stderr:`` annotation and the inline ``...``.
@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from depthbench import cli
-from depthbench.bench import FAMILY_PARAMS, SOLVERS
+from depthbench.bench import FAMILIES
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
 
@@ -79,21 +79,27 @@ def test_readme_params_table_matches_family_params():
     def typed(table):
         return [(family, [(k, type(v), v) for k, v in params.items()]) for family, params in table.items()]
 
-    assert typed(documented) == typed(FAMILY_PARAMS)
+    assert typed(documented) == typed({name: family.params for name, family in FAMILIES.items()})
 
 
 def test_readme_solver_names_match_solvers():
-    # README's sentence naming each family's solvers, with K read as 1, 2 and 3, against bench.SOLVERS
+    # README's sentence naming each family's solvers, with K read as 1, 2 and 3, against each record's ``solvers``
     sentence = re.search(r"The solvers are (.+?);", README, re.S)[1]
     documented = {
         family: re.findall(r"`([\w-]+)`", names)
         for names, family in re.findall(r"((?:`[\w-]+`(?:\s+and\s+)?)+)\s+for\s+`(\w+)`", sentence)
     }
-    assert set(documented) == set(SOLVERS)
+    assert set(documented) == set(FAMILIES)
     for family, names in documented.items():
-        assert len(names) == SOLVERS[family].count("|") + 1, family
+        assert len(names) == FAMILIES[family].solvers.count("|") + 1, family
         for name in names:
             for k in (1, 2, 3):
-                assert re.fullmatch(SOLVERS[family], re.sub(r"K$", str(k), name)), (family, name, k)
+                assert re.fullmatch(FAMILIES[family].solvers, re.sub(r"K$", str(k), name)), (family, name, k)
     unsupported = re.findall(r"`([^`]+)`", re.search(r"while\s(.+?)\sare unsupported solvers", README, re.S)[1])
-    assert unsupported and not [name for name in unsupported if re.fullmatch(SOLVERS["ca"], name)]
+    assert unsupported and not [name for name in unsupported if re.fullmatch(FAMILIES["ca"].solvers, name)]
+
+
+def test_readme_family_table_lists_families_in_order():
+    # README's opening table of each family's problem, serial solver and shallow solver
+    table = README[: README.index("\n## ")]
+    assert re.findall(r"^\| `(\w+)` +\|", table, re.M) == list(FAMILIES)
