@@ -48,11 +48,20 @@ def rule_table(rule: int) -> tuple[int, ...]:
     return _RULE_TABLES[rule]
 
 
+def _check_bits(cells: Sequence[int], what: str) -> None:
+    """Raise ``ValueError(f"{what} must be 0 or 1")`` unless every item is the int 0 or 1 (bools included)."""
+    try:
+        if not bytes(cells).translate(None, b"\x00\x01"):
+            return
+    except (TypeError, ValueError):  # a float, a str or an int outside 0..255
+        pass
+    raise ValueError(f"{what} must be 0 or 1")
+
+
 def _check_tape(cells: Sequence[int]) -> None:
     if len(cells) == 0:
         raise ValueError("tape must be non-empty")
-    if cells.count(0) + cells.count(1) != len(cells):
-        raise ValueError("tape cells must be 0 or 1")
+    _check_bits(cells, "tape cells")
 
 
 def _lookups(tape: Sequence[int], table: Sequence[int], k: int) -> tuple[int, ...]:
@@ -119,8 +128,7 @@ class CompiledRule:
         n = len(self.table)  # 2^(2k+1) is built only once n's bit length matches it
         if n.bit_length() != 2 * self.k + 2 or n != 1 << (2 * self.k + 1):
             raise ValueError(f"a {self.k}-row table needs 2^{2 * self.k + 1} entries, got {n}")
-        if self.table.count(0) + self.table.count(1) != n:
-            raise ValueError("table entries must be 0 or 1")
+        _check_bits(self.table, "table entries")
 
 
 def _check_table_budget(k: int) -> None:

@@ -1,10 +1,10 @@
 """Boolean circuits with unbounded fan-in AND/OR/NOT/MAJORITY gates.
 
-Gates are stored densely indexed with input gates first.  Evaluation comes
-in two styles — gate-at-a-time (serial) and layer-at-a-time (parallel) —
-that run one layer loop and differ only in the CostMeter rounds charged per
-layer.  Input and constant gates are free: they sit at depth 0 and are
-never charged as work.
+A gate's id is its position in the gate list, inputs first.  Evaluation
+comes in two styles — gate-at-a-time (serial) and layer-at-a-time
+(parallel) — that run one layer loop and differ only in the CostMeter
+rounds charged per layer.  Input and constant gates are free: they sit at
+depth 0 and are never charged as work.
 """
 
 from __future__ import annotations
@@ -41,27 +41,32 @@ TERMINALS = frozenset({GateKind.INPUT, GateKind.CONST0, GateKind.CONST1})
 
 @dataclass(frozen=True)
 class Gate:
-    id: int
+    """A gate's kind and the ids it reads; its own id is its position in ``Circuit.gates``."""
+
     kind: GateKind
     inputs: tuple[int, ...] = ()
 
 
 @dataclass(frozen=True)
 class Circuit:
-    """A gate list (dense ids, inputs first), input count, and one output id.
+    """A gate list, inputs first, and one output id.
 
     Building one runs ``validate``, so every ``Circuit`` is well formed.
-    ``depths`` is computed then and kept on the instance, and ``layers`` on
-    first use; they are not fields, so equality and hashing still see only
-    the gates, inputs and output.
+    ``n_inputs`` and ``depths`` are computed then and kept on the instance,
+    and ``layers`` on first use; they are not fields, so equality and
+    hashing still see only the gates and the output.
     """
 
     gates: tuple[Gate, ...]
-    n_inputs: int
     output: int
 
     def __post_init__(self):
         validate(self)
+
+    @cached_property
+    def n_inputs(self) -> int:
+        """The length of the leading block of INPUT gates."""
+        return next((gid for gid, g in enumerate(self.gates) if g.kind is not _INPUT), len(self.gates))
 
     @cached_property
     def depths(self) -> tuple[int, ...]:
@@ -73,19 +78,20 @@ class Circuit:
         """Logic gate ids grouped by depth, computed once: layer d-1 holds the depth-d gates in id order."""
         depths = self.depths
         layers: list[list[int]] = [[] for _ in range(max(depths, default=0))]
-        for g, d in zip(self.gates, depths):
+        for gid, d in enumerate(depths):
             if d:  # terminals sit at depth 0, every logic gate at 1 or more
-                layers[d - 1].append(g.id)  # the gate's own id object: kept layers add no new ints
+                layers[d - 1].append(gid)
         return tuple(map(tuple, layers))
 
 
 def logic_ids(c: Circuit) -> tuple[int, ...]:
     """Ids of the non-terminal gates, ascending."""
-    return tuple(g.id for g in c.gates if g.kind not in TERMINALS)
+    return tuple(gid for gid, g in enumerate(c.gates) if g.kind not in TERMINALS)
 
 
 # module globals are cheaper to read than GateKind members in the per-gate loops below
 _INPUT, _AND, _OR, _NOT, _MAJORITY = GateKind.INPUT, GateKind.AND, GateKind.OR, GateKind.NOT, GateKind.MAJORITY
+_CONST_VALUE = {GateKind.CONST0: 0, GateKind.CONST1: 1}
 
 
 def gate_value(kind: GateKind, in_vals: Sequence[int]) -> int:
@@ -104,18 +110,16 @@ def gate_value(kind: GateKind, in_vals: Sequence[int]) -> int:
 def validate(c: Circuit) -> None:
     """Raise CircuitError unless ``c`` satisfies every structural invariant; ``Circuit`` runs it when built.
 
-    The three header checks run here; the per-gate checks and the cycle
+    The two header checks run here; the per-gate checks and the cycle
     check run in ``gate_depths``, reached through ``c.depths``.  The first
-    fault wins in this order: no gates, output range, ``n_inputs`` range,
-    then gate by gate id, input block, arity and references, then a cycle.
+    fault wins in this order: no gates, output range, then gate by gate
+    input block, arity and references, then a cycle.
     """
     n = len(c.gates)
     if n == 0:
         raise CircuitError("circuit has no gates")
     if not 0 <= c.output < n:
         raise CircuitError(f"output id {c.output} out of range 0..{n - 1}")
-    if not 0 <= c.n_inputs <= n:
-        raise CircuitError(f"n_inputs {c.n_inputs} out of range")
     c.depths  # the per-gate checks, then cycles
 
 
@@ -137,11 +141,7 @@ def gate_depths(c: Circuit) -> list[int]:
     waiting = []
     for pos, g in enumerate(gates):
         kind, ins = g.kind, g.inputs
-        if g.id != pos:
-            raise CircuitError(f"gate ids must be dense: position {pos} holds id {g.id}")
-        if (pos < n_inputs) != (kind is _INPUT):
-            if pos < n_inputs:
-                raise CircuitError(f"ids 0..{n_inputs - 1} must be INPUT gates, id {pos} is {kind.value}")
+        if kind is _INPUT and pos >= n_inputs:
             raise CircuitError(f"INPUT gate {pos} outside the leading input block")
         if kind in TERMINALS:
             if ins:
@@ -206,17 +206,10 @@ def check_assignment(bits: Sequence[int], n_inputs: int) -> None:
 
 def terminal_values(c: Circuit, bits: Sequence[int]) -> list[int | None]:
     """Per gate id, the input bit or constant of a terminal and None for a logic gate; checks ``bits``."""
-    check_assignment(bits, c.n_inputs)
-    input_, const0, const1 = GateKind.INPUT, GateKind.CONST0, GateKind.CONST1  # enum lookups cost more than the loop
-    vals: list[int | None] = [None] * len(c.gates)
-    for g in c.gates:
-        kind = g.kind
-        if kind is input_:
-            vals[g.id] = bits[g.id]
-        elif kind is const0:
-            vals[g.id] = 0
-        elif kind is const1:
-            vals[g.id] = 1
+    n_inputs = c.n_inputs
+    check_assignment(bits, n_inputs)
+    vals = [_CONST_VALUE.get(g.kind) for g in c.gates]
+    vals[:n_inputs] = bits
     return vals
 
 
@@ -328,9 +321,9 @@ def random_circuit(
     rand = rng.random
     below, sample = stdlib_draws(rng)
     kinds = (_AND, _OR, _NOT)
-    gates = [Gate(i, _INPUT) for i in range(n_inputs)]
+    gates = [Gate(_INPUT)] * n_inputs
     for gid in range(n_inputs, n_inputs + n_gates):
         kind = _MAJORITY if rand() < majority_fraction else kinds[below(3)]
         fanin = 1 if kind is _NOT else 1 + below(min(fanin_max, gid))
-        gates.append(Gate(gid, kind, tuple(sorted(sample(gid, fanin)))))
-    return Circuit(tuple(gates), n_inputs, n_inputs + n_gates - 1)
+        gates.append(Gate(kind, tuple(sorted(sample(gid, fanin)))))
+    return Circuit(tuple(gates), n_inputs + n_gates - 1)

@@ -24,7 +24,6 @@ from functools import cached_property
 from typing import Callable, Collection, NamedTuple, Sequence
 
 from .circuits import (
-    TERMINALS,
     Circuit,
     CircuitError,
     Gate,
@@ -48,12 +47,12 @@ class AlternationError(CircuitError):
 
 def validate_alternating(c: Circuit) -> None:
     """Check that ``c``, valid since it was built, has only AND/OR logic gates and no same-kind edge."""
-    bad_kinds = [g.id for g in c.gates if g.kind not in TERMINALS and g.kind not in (GateKind.AND, GateKind.OR)]
+    bad_kinds = [gid for gid, g in enumerate(c.gates) if g.kind in (GateKind.NOT, GateKind.MAJORITY)]
     if bad_kinds:
         raise AlternationError(f"only and/or logic gates allowed, got other kinds at gates {bad_kinds}")
     bad_edges = [
-        (g.id, iid)
-        for g in c.gates
+        (gid, iid)
+        for gid, g in enumerate(c.gates)
         if g.kind in (GateKind.AND, GateKind.OR)
         for iid in g.inputs
         if c.gates[iid].kind is g.kind
@@ -122,8 +121,8 @@ def is_depth_zero(cfg: CircuitConfig) -> bool:
     """
     c = cfg.circuit
     vals = terminal_values(c, cfg.bits)
-    for g in c.gates:
-        if vals[g.id] is None:  # a logic gate
+    for g, v in zip(c.gates, vals):
+        if v is None:  # a logic gate
             in_vals = [vals[i] for i in g.inputs]
             if None not in in_vals and gate_value(g.kind, in_vals):
                 return False
@@ -410,7 +409,7 @@ def random_alt_circuit(seed: int, n_inputs: int, n_gates: int, fanin_max: int = 
     rng = random.Random(seed)
     rand = rng.random
     below, sample = stdlib_draws(rng)
-    gates = [Gate(i, GateKind.INPUT) for i in range(n_inputs)]
+    gates = [Gate(GateKind.INPUT)] * n_inputs
     ands: list[int] = []
     ors: list[int] = []
     for gid in range(n_inputs, n_inputs + n_gates):
@@ -426,8 +425,8 @@ def random_alt_circuit(seed: int, n_inputs: int, n_gates: int, fanin_max: int = 
         else:  # pool: the terminals
             inputs = sample(n_inputs, 1 + below(min(fanin_max, n_inputs)))
             ors.append(gid)
-        gates.append(Gate(gid, kind, tuple(sorted(inputs))))
-    return Circuit(tuple(gates), n_inputs, n_inputs + n_gates - 1)
+        gates.append(Gate(kind, tuple(sorted(inputs))))
+    return Circuit(tuple(gates), n_inputs + n_gates - 1)
 
 
 def random_alt_config(

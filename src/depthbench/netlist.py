@@ -46,7 +46,6 @@ def _parse_int(token: str, what: str, lineno: int) -> int:
 def parse_netlist(text: str) -> Circuit:
     """Parse netlist text into a validated Circuit."""
     gates: list[Gate] = []
-    n_inputs = 0
     output: int | None = None
     for lineno, raw in enumerate(text.splitlines(), 1):
         parts = (raw.split("#", 1)[0] if "#" in raw else raw).split()
@@ -71,12 +70,11 @@ def parse_netlist(text: str) -> Circuit:
                 raise NetlistError("input line must be 'input <id>'", lineno)
             if gates and gates[-1].kind is not GateKind.INPUT:
                 raise NetlistError("input gates must come before all other gates", lineno)
-            gates.append(Gate(gid, kind))
-            n_inputs += 1
+            gates.append(Gate(kind))
         elif kind is _CONST:
             if len(parts) != 3 or parts[2] not in ("0", "1"):
                 raise NetlistError("const line must be 'const <id> <0|1>'", lineno)
-            gates.append(Gate(gid, GateKind.CONST1 if parts[2] == "1" else GateKind.CONST0))
+            gates.append(Gate(GateKind.CONST1 if parts[2] == "1" else GateKind.CONST0))
         elif kind is not None:
             if len(parts) == 2:
                 raise NetlistError(f"{head} gate needs at least one input id", lineno)
@@ -84,13 +82,13 @@ def parse_netlist(text: str) -> Circuit:
                 ids = tuple(map(int, parts[2:]))
             except ValueError:
                 ids = tuple(_parse_int(p, "input id", lineno) for p in parts[2:])
-            gates.append(Gate(gid, kind, ids))
+            gates.append(Gate(kind, ids))
         else:
             raise NetlistError(f"unknown gate kind {head!r}", lineno)
     if output is None:
         raise NetlistError("missing output line")
     try:
-        return Circuit(tuple(gates), n_inputs, output)
+        return Circuit(tuple(gates), output)
     except CircuitError as exc:
         raise NetlistError(str(exc)) from exc
 
@@ -98,14 +96,14 @@ def parse_netlist(text: str) -> Circuit:
 def format_netlist(c: Circuit) -> str:
     """Canonical netlist text for ``c`` (newline-terminated)."""
     lines = []
-    for g in c.gates:
+    for gid, g in enumerate(c.gates):
         kind = g.kind
         if kind is GateKind.INPUT:
-            lines.append(f"input {g.id}")
+            lines.append(f"input {gid}")
         elif kind in TERMINALS:
-            lines.append(f"const {g.id} {1 if kind is GateKind.CONST1 else 0}")
+            lines.append(f"const {gid} {1 if kind is GateKind.CONST1 else 0}")
         else:
-            lines.append(f"{_TOKEN_OF_KIND[kind]} {g.id} {' '.join(map(str, g.inputs))}")
+            lines.append(f"{_TOKEN_OF_KIND[kind]} {gid} {' '.join(map(str, g.inputs))}")
     lines.append(f"output {c.output}")
     return "\n".join(lines) + "\n"
 

@@ -15,18 +15,22 @@ from depthbench.circuits import TERMINALS, Circuit, Gate, GateKind
 from depthbench.do1 import EnvState, Phase, PASS, PickChainGate, PickCircuitGate, SelectGate, env_step
 
 
-def is_well_formed(gates, n_inputs: int, output: int) -> bool:
-    """Whether ``Circuit(gates, n_inputs, output)`` should be accepted, decided rule by rule.
+def leading_inputs(gates) -> int:
+    """How many gates the list starts with that are INPUT gates."""
+    return len(list(itertools.takewhile(lambda g: g.kind is GateKind.INPUT, gates)))
+
+
+def is_well_formed(gates, output: int) -> bool:
+    """Whether ``Circuit(gates, output)`` should be accepted, decided rule by rule.
 
     Acyclicity is checked by peeling: repeatedly drop every gate whose
     inputs have all been dropped, and accept only if nothing is left.
     """
     n = len(gates)
-    if n == 0 or output not in range(n) or n_inputs not in range(n + 1):
+    if n == 0 or output not in range(n):
         return False
-    if [g.id for g in gates] != list(range(n)):
-        return False
-    if [g.kind is GateKind.INPUT for g in gates] != [True] * n_inputs + [False] * (n - n_inputs):
+    is_input = [g.kind is GateKind.INPUT for g in gates]
+    if is_input != sorted(is_input, reverse=True):  # a non-INPUT gate before an INPUT gate
         return False
     for g in gates:
         if g.kind in (GateKind.INPUT, GateKind.CONST0, GateKind.CONST1):
@@ -45,11 +49,11 @@ def is_well_formed(gates, n_inputs: int, output: int) -> bool:
         left -= ready
 
 
-def first_fault(gates, n_inputs: int, output: int) -> str | None:
-    """The ``CircuitError`` message ``Circuit(gates, n_inputs, output)`` should raise, or None if well formed.
+def first_fault(gates, output: int) -> str | None:
+    """The ``CircuitError`` message ``Circuit(gates, output)`` should raise, or None if well formed.
 
-    Rules are tried in the documented order: the three header checks, then
-    gate by gate in position order (id, input block, arity, references),
+    Rules are tried in the documented order: the two header checks, then
+    gate by gate in position order (input block, arity, references),
     and a cycle last.  A cycle returns just the ``"cycle detected via edge"``
     prefix, since which edge is reported depends on the search order.
     """
@@ -58,16 +62,10 @@ def first_fault(gates, n_inputs: int, output: int) -> str | None:
         return "circuit has no gates"
     if output not in range(n):
         return f"output id {output} out of range 0..{n - 1}"
-    if n_inputs not in range(n + 1):
-        return f"n_inputs {n_inputs} out of range"
     terminals = (GateKind.INPUT, GateKind.CONST0, GateKind.CONST1)
     for pos, g in enumerate(gates):
         name = g.kind.value
-        if g.id != pos:
-            return f"gate ids must be dense: position {pos} holds id {g.id}"
-        if pos < n_inputs and g.kind is not GateKind.INPUT:
-            return f"ids 0..{n_inputs - 1} must be INPUT gates, id {pos} is {name}"
-        if pos >= n_inputs and g.kind is GateKind.INPUT:
+        if g.kind is GateKind.INPUT and any(h.kind is not GateKind.INPUT for h in gates[:pos]):
             return f"INPUT gate {pos} outside the leading input block"
         if g.kind in terminals and len(g.inputs) > 0:
             return f"{name} gate {pos} must have no inputs"
@@ -78,7 +76,7 @@ def first_fault(gates, n_inputs: int, output: int) -> str | None:
         missing = [i for i in g.inputs if i not in range(n)]
         if missing:
             return f"gate {pos} references missing gate {missing[0]}"
-    if not is_well_formed(gates, n_inputs, output):
+    if not is_well_formed(gates, output):
         return "cycle detected via edge"
     return None
 
@@ -119,7 +117,7 @@ def recursive_eval(circuit: Circuit, bits) -> tuple[int, ...]:
         memo[gid] = v
         return v
 
-    return tuple(val(g.id) for g in circuit.gates)
+    return tuple(val(gid) for gid in range(len(circuit.gates)))
 
 
 def brute_longest_path(circuit: Circuit, gid: int) -> int:
@@ -142,7 +140,7 @@ def memo_depths(circuit: Circuit) -> list[int]:
             )
         return memo[gid]
 
-    return [depth(g.id) for g in circuit.gates]
+    return [depth(gid) for gid in range(len(circuit.gates))]
 
 
 def naive_evolve(cells, rule: int, steps: int) -> tuple[int, ...]:
@@ -230,13 +228,13 @@ def simulated_bundle_errors(truth, p: float, seeds, n: int, vocab: int) -> int:
 def random_monotone_circuit(seed: int, n_inputs: int, n_gates: int, fanin_max: int = 3) -> Circuit:
     """Random NOT-free circuit (AND/OR/MAJORITY) for monotonicity properties."""
     rng = random.Random(seed)
-    gates = [Gate(i, GateKind.INPUT) for i in range(n_inputs)]
+    gates = [Gate(GateKind.INPUT)] * n_inputs
     for gid in range(n_inputs, n_inputs + n_gates):
         kind = rng.choice((GateKind.AND, GateKind.OR, GateKind.MAJORITY))
         fanin = rng.randint(1, min(fanin_max, gid))
         inputs = tuple(sorted(rng.sample(range(gid), fanin)))
-        gates.append(Gate(gid, kind, inputs))
-    return Circuit(tuple(gates), n_inputs, n_inputs + n_gates - 1)
+        gates.append(Gate(kind, inputs))
+    return Circuit(tuple(gates), n_inputs + n_gates - 1)
 
 
 def legal_actions(s: EnvState):

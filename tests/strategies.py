@@ -22,20 +22,21 @@ CONST_KINDS = (GateKind.CONST0, GateKind.CONST1)
 PERMS = tuple(itertools.permutations(range(5)))
 
 # each corruption may or may not break the circuit; the oracle decides which
-CORRUPTIONS = ("id", "kind", "arity", "out_of_range", "extra_edge", "n_inputs", "output")
+CORRUPTIONS = ("kind", "arity", "out_of_range", "extra_edge", "output")
 
 
 @st.composite
 def gate_lists(draw):
-    """``(gates, n_inputs, output)``; about half the draws carry one corruption.
+    """``(gates, output)``; about half the draws carry one corruption.
 
     A well-formed draw is a DAG whose gates read any id earlier in a drawn
     topological order, so forward references (a gate reading a higher id)
     are common; it has consts, ``maj`` of even fan-in and an output that
-    need not be the last gate.  The rest apply one corruption: a wrong id,
-    any kind anywhere (stray INPUTs, logic in the input block), any arity,
-    an out-of-range reference, an edge that may close a cycle, or an input
-    count or output id that may be out of range.
+    need not be the last gate; it may hold no INPUT gate or only INPUT
+    gates.  The rest apply one corruption: any kind anywhere (stray INPUTs,
+    a const or logic gate that cuts the input block short), any arity, an
+    out-of-range reference, an edge that may close a cycle, or an output
+    id that may be out of range.
     """
     n = draw(st.integers(1, 9))
     n_inputs = draw(st.integers(0, min(n, 4)))  # at most 16 assignments to check
@@ -52,30 +53,26 @@ def gate_lists(draw):
             arity = 1 if kind is GateKind.NOT else draw(st.integers(1, 4))
         else:
             arity = 0
-        gates.append(Gate(gid, kind, tuple(draw(st.sampled_from(earlier)) for _ in range(arity))))
+        gates.append(Gate(kind, tuple(draw(st.sampled_from(earlier)) for _ in range(arity))))
     output = draw(st.integers(0, n - 1))
 
     corruption = draw(st.sampled_from((None,) + CORRUPTIONS))
     pos = n - 1 - draw(st.integers(0, n - 1))  # the simplest draw corrupts the last gate: not an INPUT unless all are
     g = gates[pos]
-    if corruption == "id":
-        gates[pos] = Gate(draw(st.integers(-1, n + 1)), g.kind, g.inputs)
-    elif corruption == "kind":
-        gates[pos] = Gate(pos, draw(st.sampled_from(list(GateKind))), g.inputs)
+    if corruption == "kind":
+        gates[pos] = Gate(draw(st.sampled_from(list(GateKind))), g.inputs)
     elif corruption == "arity":
         refs = order[: rank[pos]] or list(range(n))  # gates earlier in the order, so arity is the only fault
-        gates[pos] = Gate(pos, g.kind, tuple(draw(st.lists(st.sampled_from(refs), max_size=4))))
+        gates[pos] = Gate(g.kind, tuple(draw(st.lists(st.sampled_from(refs), max_size=4))))
     elif corruption == "out_of_range":
         bad = draw(st.sampled_from((-1, n)))
-        gates[pos] = Gate(pos, g.kind, g.inputs + (bad,))
+        gates[pos] = Gate(g.kind, g.inputs + (bad,))
     elif corruption == "extra_edge":
         # the gate itself or one after it in the order, which closes a cycle if it depends on the gate
-        gates[pos] = Gate(pos, g.kind, g.inputs + (draw(st.sampled_from(order[rank[pos] :])),))
-    elif corruption == "n_inputs":
-        n_inputs = draw(st.integers(-1, n + 1))
+        gates[pos] = Gate(g.kind, g.inputs + (draw(st.sampled_from(order[rank[pos] :])),))
     elif corruption == "output":
         output = draw(st.integers(-2, n + 2))
-    return tuple(gates), n_inputs, output
+    return tuple(gates), output
 
 
 @st.composite
@@ -93,18 +90,18 @@ def alt_configs(draw):
     n_logic = draw(st.integers(1, 5))
     n = n_inputs + n_consts + n_logic
     placed = draw(st.permutations(range(n_inputs, n)))  # consts first, then logic gates in topological order
-    gates = {gid: Gate(gid, GateKind.INPUT) for gid in range(n_inputs)}
+    gates = {gid: Gate(GateKind.INPUT) for gid in range(n_inputs)}
     for gid in placed[:n_consts]:
-        gates[gid] = Gate(gid, draw(st.sampled_from(CONST_KINDS)))
+        gates[gid] = Gate(draw(st.sampled_from(CONST_KINDS)))
     terminals = sorted(gates)
     by_kind = {GateKind.AND: [], GateKind.OR: []}
     for gid in placed[n_consts:]:
         kind = draw(st.sampled_from((GateKind.AND, GateKind.OR)))
         opposite = GateKind.OR if kind is GateKind.AND else GateKind.AND
         feeds = draw(st.lists(st.sampled_from(terminals + by_kind[opposite]), min_size=1, max_size=3))
-        gates[gid] = Gate(gid, kind, tuple(feeds))
+        gates[gid] = Gate(kind, tuple(feeds))
         by_kind[kind].append(gid)
-    circuit = Circuit(tuple(gates[gid] for gid in range(n)), n_inputs, draw(st.integers(0, n - 1)))
+    circuit = Circuit(tuple(gates[gid] for gid in range(n)), draw(st.integers(0, n - 1)))
     return CircuitConfig(circuit, tuple(draw(st.lists(st.integers(0, 1), min_size=n_inputs, max_size=n_inputs))))
 
 

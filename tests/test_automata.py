@@ -125,8 +125,9 @@ def test_compile_steps_checks_k_then_budget_then_rule():
         (110, 2, (0,) * 8, "a 2-row table needs 2^5 entries, got 8"),  # step_compiled would raise IndexError
         (110, 10**9, (), "a 1000000000-row table needs 2^2000000001 entries, got 0"),
         (110, 2, (5,) * 32, "table entries must be 0 or 1"),  # step_compiled would write 5s into the tape
+        (110, 1, (0, 1.0, 1, 1, 0, 1, 1, 0), "table entries must be 0 or 1"),  # 1.0 == 1, but is no int
     ],
-    ids=["k-below-one", "rule-out-of-range", "table-too-short", "huge-k", "entry-not-a-bit"],
+    ids=["k-below-one", "rule-out-of-range", "table-too-short", "huge-k", "entry-not-a-bit", "float-entry"],
 )
 def test_compiled_rule_refuses_tables_that_give_wrong_answers(rule, k, table, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
@@ -337,7 +338,7 @@ def test_parse_tape_rejects_junk():
 def test_cells_other_than_0_1_rejected():
     """A tape cell outside {0, 1} would index past or alias a table entry; every entry point refuses it."""
     message = "^tape cells must be 0 or 1$"
-    for bad in ((0, 0, 2), (2, 0, 0), (0, 1, -1), [1, 0, 3, 0]):
+    for bad in ((0, 0, 2), (2, 0, 0), (0, 1, -1), [1, 0, 3, 0], (1.0, 0), "0101"):
         with pytest.raises(ValueError, match=message):
             step(bad, 110)
         with pytest.raises(ValueError, match=message):

@@ -4,7 +4,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import find, given, settings, strategies as st
 
 from depthbench.circuits import (
     TERMINALS,
@@ -29,6 +29,7 @@ from oracles import (
     brute_longest_path,
     first_fault,
     is_well_formed,
+    leading_inputs,
     memo_depths,
     random_monotone_circuit,
     reaches,
@@ -39,22 +40,22 @@ from strategies import LOGIC_KINDS, gate_lists
 
 def chain3():
     gates = (
-        Gate(0, GateKind.INPUT),
-        Gate(1, GateKind.NOT, (0,)),
-        Gate(2, GateKind.NOT, (1,)),
-        Gate(3, GateKind.NOT, (2,)),
+        Gate(GateKind.INPUT),
+        Gate(GateKind.NOT, (0,)),
+        Gate(GateKind.NOT, (1,)),
+        Gate(GateKind.NOT, (2,)),
     )
-    return Circuit(gates, 1, 3)
+    return Circuit(gates, 3)
 
 
 def backward_block(seed: int, n_inputs: int, n_gates: int) -> list[Gate]:
     """Inputs, a const, then logic gates that each read 1-4 ids drawn (repeats allowed) below their own."""
     rng = random.Random(seed)
-    gates = [Gate(i, GateKind.INPUT) for i in range(n_inputs)] + [Gate(n_inputs, GateKind.CONST1)]
+    gates = [Gate(GateKind.INPUT)] * n_inputs + [Gate(GateKind.CONST1)]
     for gid in range(len(gates), len(gates) + n_gates):
         kind = rng.choice(LOGIC_KINDS)
         arity = 1 if kind is GateKind.NOT else rng.randint(1, 4)
-        gates.append(Gate(gid, kind, tuple(rng.randrange(gid) for _ in range(arity))))
+        gates.append(Gate(kind, tuple(rng.randrange(gid) for _ in range(arity))))
     return gates
 
 
@@ -110,16 +111,16 @@ class TestLayering:
         assert (m.work, m.depth) == (3, 3)
 
     def test_inputs_only_zero_layers(self):
-        c = Circuit((Gate(0, GateKind.INPUT), Gate(1, GateKind.INPUT)), 2, 1)
+        c = Circuit((Gate(GateKind.INPUT), Gate(GateKind.INPUT)), 1)
         assert topo_layers(c) == []
         m = CostMeter()
         assert eval_layered(c, (0, 1), m) == (0, 1)
         assert (m.work, m.depth) == (0, 0)
 
     def test_hundred_parallel_ands(self):
-        gates = [Gate(0, GateKind.INPUT), Gate(1, GateKind.INPUT)]
-        gates += [Gate(i, GateKind.AND, (0, 1)) for i in range(2, 102)]
-        c = Circuit(tuple(gates), 2, 101)
+        gates = [Gate(GateKind.INPUT), Gate(GateKind.INPUT)]
+        gates += [Gate(GateKind.AND, (0, 1))] * 100
+        c = Circuit(tuple(gates), 101)
         layers = topo_layers(c)
         assert len(layers) == 1 and len(layers[0]) == 100
         m = CostMeter()
@@ -129,9 +130,9 @@ class TestLayering:
     def test_layer_rule_holds_everywhere(self):
         c = random_circuit(7, 4, 40, fanin_max=4)
         depths = gate_depths(c)
-        for g in c.gates:
-            if g.id in logic_ids(c):
-                assert depths[g.id] == 1 + max(depths[i] for i in g.inputs)
+        for gid, g in enumerate(c.gates):
+            if gid in logic_ids(c):
+                assert depths[gid] == 1 + max(depths[i] for i in g.inputs)
         layers = topo_layers(c)
         for d, layer in enumerate(layers, 1):
             assert all(depths[gid] == d for gid in layer)
@@ -140,26 +141,26 @@ class TestLayering:
     def test_twelve_gate_dag_matches_path_enumeration(self):
         c = random_circuit(99, 4, 12)
         depths = gate_depths(c)
-        for g in c.gates:
-            assert depths[g.id] == brute_longest_path(c, g.id)
+        for gid in range(len(c.gates)):
+            assert depths[gid] == brute_longest_path(c, gid)
         assert c.depths == tuple(memo_depths(c))
 
     def test_long_forward_reference_chain(self):
         # gate i reads gate i + 1, so the DFS finds every depth; depth is the chain length below it
         n = 5_000
-        gates = (Gate(0, GateKind.INPUT),) + tuple(Gate(i, GateKind.NOT, (i + 1,)) for i in range(1, n - 1))
-        c = Circuit(gates + (Gate(n - 1, GateKind.NOT, (0,)),), 1, 1)
+        gates = (Gate(GateKind.INPUT),) + tuple(Gate(GateKind.NOT, (i + 1,)) for i in range(1, n - 1))
+        c = Circuit(gates + (Gate(GateKind.NOT, (0,)),), 1)
         assert c.depths == (0,) + tuple(range(n - 1, 0, -1))
         assert gate_depths(c) == list(c.depths)
 
     def test_cycle_reported_with_edge(self):
         gates = (
-            Gate(0, GateKind.INPUT),
-            Gate(1, GateKind.AND, (0, 2)),
-            Gate(2, GateKind.OR, (1,)),
+            Gate(GateKind.INPUT),
+            Gate(GateKind.AND, (0, 2)),
+            Gate(GateKind.OR, (1,)),
         )
         with pytest.raises(CircuitError, match="cycle detected via edge"):
-            Circuit(gates, 1, 2)
+            Circuit(gates, 2)
 
     def test_forward_chain_after_kilogate_block(self):
         # 3,000 gates read only earlier ids; then gate i of a chain reads gate i + 1 and one block gate (the last reads back
@@ -167,11 +168,11 @@ class TestLayering:
         gates = backward_block(11, 8, 3_000)
         start, links = len(gates), 250
         for gid in range(start, start + links):
-            gates.append(Gate(gid, GateKind.AND, (gid - links, gid + 1) if gid < start + links - 1 else (start - 1,)))
+            gates.append(Gate(GateKind.AND, (gid - links, gid + 1) if gid < start + links - 1 else (start - 1,)))
         rng = random.Random(12)
         for gid in range(len(gates), len(gates) + 200):
-            gates.append(Gate(gid, GateKind.OR, (rng.randrange(start, gid), rng.randrange(gid))))
-        c = Circuit(tuple(gates), 8, len(gates) - 1)
+            gates.append(Gate(GateKind.OR, (rng.randrange(start, gid), rng.randrange(gid))))
+        c = Circuit(tuple(gates), len(gates) - 1)
         assert c.depths == tuple(memo_depths(c))
         assert max(c.depths) > links
         bits = (1, 0, 1, 1, 0, 0, 1, 0)
@@ -182,10 +183,10 @@ class TestLayering:
         gates = backward_block(13, 8, 3_000)
         start = len(gates)
         for gid in range(start, start + 4):
-            gates.append(Gate(gid, GateKind.OR, (gid - 5, gid + 1)))
-        gates.append(Gate(start + 4, GateKind.MAJORITY, (start - 1, start + 1, 0)))
+            gates.append(Gate(GateKind.OR, (gid - 5, gid + 1)))
+        gates.append(Gate(GateKind.MAJORITY, (start - 1, start + 1, 0)))
         with pytest.raises(CircuitError) as info:
-            Circuit(tuple(gates), 8, 0)
+            Circuit(tuple(gates), 0)
         assert str(info.value) == "cycle detected via edge 3013 -> 3010"
 
     def test_layers_kept_and_topo_layers_copies_them(self):
@@ -211,55 +212,43 @@ class TestValidate:
         for seed in range(10_000):
             random_circuit(seed, 1 + seed % 4, 1 + seed % 12)  # building a Circuit runs validate
 
-    def test_dense_ids_enforced(self):
-        with pytest.raises(CircuitError, match="dense"):
-            Circuit((Gate(0, GateKind.INPUT), Gate(2, GateKind.NOT, (0,))), 1, 1)
-
     def test_inputs_must_lead(self):
         with pytest.raises(CircuitError):
-            Circuit((Gate(0, GateKind.CONST1), Gate(1, GateKind.INPUT)), 0, 1)
+            Circuit((Gate(GateKind.CONST1), Gate(GateKind.INPUT)), 1)
 
     def test_not_arity(self):
         with pytest.raises(CircuitError, match="exactly one input"):
-            Circuit((Gate(0, GateKind.INPUT), Gate(1, GateKind.NOT, (0, 0))), 1, 1)
+            Circuit((Gate(GateKind.INPUT), Gate(GateKind.NOT, (0, 0))), 1)
 
     def test_missing_reference(self):
         with pytest.raises(CircuitError, match="missing gate"):
-            Circuit((Gate(0, GateKind.INPUT), Gate(1, GateKind.AND, (0, 9))), 1, 1)
+            Circuit((Gate(GateKind.INPUT), Gate(GateKind.AND, (0, 9))), 1)
 
     def test_empty_fanin_rejected(self):
         with pytest.raises(CircuitError, match="at least one input"):
-            Circuit((Gate(0, GateKind.INPUT), Gate(1, GateKind.AND, ())), 1, 1)
+            Circuit((Gate(GateKind.INPUT), Gate(GateKind.AND, ())), 1)
 
 
 # malformed circuits an evaluator would answer silently or crash on if they could be built
 MALFORMED = {
     "not-with-two-inputs": (
-        ((Gate(0, GateKind.INPUT), Gate(1, GateKind.NOT, (0, 0))), 1, 1),
+        ((Gate(GateKind.INPUT), Gate(GateKind.NOT, (0, 0))), 1),
         "not gate 1 needs exactly one input, got 2",
     ),
     "const1-with-an-input": (
-        ((Gate(0, GateKind.INPUT), Gate(1, GateKind.CONST1, (0,))), 1, 1),
+        ((Gate(GateKind.INPUT), Gate(GateKind.CONST1, (0,))), 1),
         "const1 gate 1 must have no inputs",
     ),
-    "n_inputs-past-the-input-block": (
-        ((Gate(0, GateKind.INPUT), Gate(1, GateKind.NOT, (0,))), 2, 1),
-        "ids 0..1 must be INPUT gates, id 1 is not",
-    ),
     "and-with-no-inputs": (
-        ((Gate(0, GateKind.INPUT), Gate(1, GateKind.AND, ())), 1, 1),
+        ((Gate(GateKind.INPUT), Gate(GateKind.AND, ())), 1),
         "and gate 1 needs at least one input",
     ),
     "stray-input": (
-        ((Gate(0, GateKind.INPUT), Gate(1, GateKind.NOT, (0,)), Gate(2, GateKind.INPUT)), 1, 1),
+        ((Gate(GateKind.INPUT), Gate(GateKind.NOT, (0,)), Gate(GateKind.INPUT)), 1),
         "INPUT gate 2 outside the leading input block",
     ),
-    "non-dense-id": (
-        ((Gate(0, GateKind.INPUT), Gate(2, GateKind.NOT, (0,))), 1, 1),
-        "gate ids must be dense: position 1 holds id 2",
-    ),
     "output-past-the-end": (
-        ((Gate(0, GateKind.INPUT), Gate(1, GateKind.NOT, (0,))), 1, 2),
+        ((Gate(GateKind.INPUT), Gate(GateKind.NOT, (0,))), 2),
         "output id 2 out of range 0..1",
     ),
 }
@@ -276,29 +265,43 @@ class TestConstruction:
     @settings(max_examples=200, deadline=None)
     @given(parts=gate_lists())
     def test_built_iff_well_formed_then_evaluators_agree(self, parts):
-        gates, n_inputs, output = parts
-        if not is_well_formed(gates, n_inputs, output):
+        gates, output = parts
+        if not is_well_formed(gates, output):
             with pytest.raises(CircuitError):
-                Circuit(gates, n_inputs, output)
+                Circuit(gates, output)
             return
-        c = Circuit(gates, n_inputs, output)
+        c = Circuit(gates, output)
+        n_inputs = leading_inputs(gates)
+        assert c.n_inputs == n_inputs
         for bits in itertools.product((0, 1), repeat=n_inputs):
             assert eval_serial(c, bits) == eval_layered(c, bits) == recursive_eval(c, bits)
         assert c.depths == tuple(memo_depths(c))
         text = format_netlist(c)
         assert parse_netlist(text) == c and format_netlist(parse_netlist(text)) == text
 
+    @pytest.mark.parametrize(
+        "kinds", [{GateKind.CONST0, GateKind.CONST1}, {GateKind.INPUT}], ids=["no-input", "all-input"]
+    )
+    def test_gate_lists_reach_both_ends_of_the_input_count(self, kinds):
+        # the property above sees circuits whose derived input count is 0 and ones where it is every gate
+        def has_kinds_only(parts):
+            gates, output = parts
+            return is_well_formed(gates, output) and {g.kind for g in gates} <= kinds
+
+        gates, _ = find(gate_lists(), has_kinds_only, settings=settings(database=None))
+        assert leading_inputs(gates) == (len(gates) if GateKind.INPUT in kinds else 0)
+
     @settings(max_examples=300, deadline=None)
     @given(parts=gate_lists())
     def test_error_message_is_the_first_fault(self, parts):
-        gates, n_inputs, output = parts
-        expected = first_fault(gates, n_inputs, output)
-        assert (expected is None) == is_well_formed(gates, n_inputs, output)
+        gates, output = parts
+        expected = first_fault(gates, output)
+        assert (expected is None) == is_well_formed(gates, output)
         if expected is None:
-            Circuit(gates, n_inputs, output)
+            Circuit(gates, output)
             return
         with pytest.raises(CircuitError) as info:
-            Circuit(gates, n_inputs, output)
+            Circuit(gates, output)
         message = str(info.value)
         if expected != "cycle detected via edge":
             assert message == expected
@@ -316,8 +319,8 @@ class TestEval:
     @pytest.mark.parametrize("kind", LOGIC_KINDS, ids=lambda k: k.value)
     def test_every_feed_tuple_matches_gate_value(self, kind):
         for arity in (1,) if kind is GateKind.NOT else (1, 2, 3, 4):
-            gates = tuple(Gate(i, GateKind.INPUT) for i in range(arity)) + (Gate(arity, kind, tuple(range(arity))),)
-            c = Circuit(gates, arity, arity)
+            gates = (Gate(GateKind.INPUT),) * arity + (Gate(kind, tuple(range(arity))),)
+            c = Circuit(gates, arity)
             for bits in itertools.product((0, 1), repeat=arity):
                 expected = gate_value(kind, bits)
                 assert eval_serial(c, bits)[arity] == eval_layered(c, bits)[arity] == expected
@@ -396,7 +399,7 @@ class TestRandomCircuit:
 def stdlib_random_circuit(seed, n_inputs, n_gates, fanin_max=3, majority_fraction=0.25):
     """The gates ``random_circuit`` must build, drawn through Random's own methods."""
     rng = random.Random(seed)
-    gates = [Gate(i, GateKind.INPUT) for i in range(n_inputs)]
+    gates = [Gate(GateKind.INPUT)] * n_inputs
     for gid in range(n_inputs, n_inputs + n_gates):
         if rng.random() < majority_fraction:
             kind = GateKind.MAJORITY
@@ -404,7 +407,7 @@ def stdlib_random_circuit(seed, n_inputs, n_gates, fanin_max=3, majority_fractio
             kind = rng.choice((GateKind.AND, GateKind.OR, GateKind.NOT))
         fanin = 1 if kind is GateKind.NOT else rng.randint(1, min(fanin_max, gid))
         inputs = tuple(sorted(rng.sample(range(gid), fanin)))
-        gates.append(Gate(gid, kind, inputs))
+        gates.append(Gate(kind, inputs))
     return tuple(gates)
 
 

@@ -60,11 +60,11 @@ def make_chain(k: int) -> Circuit:
     """Alternating chain of k gates over one constant-1; gate j has depth j."""
     if k < 1:
         raise ValueError("chain length must be >= 1")
-    gates = [Gate(0, GateKind.CONST1)]
+    gates = [Gate(GateKind.CONST1)]
     for j in range(1, k + 1):
         kind = GateKind.OR if j % 2 else GateKind.AND
-        gates.append(Gate(j, kind, (j - 1,)))
-    return Circuit(tuple(gates), 0, k)
+        gates.append(Gate(kind, (j - 1,)))
+    return Circuit(tuple(gates), k)
 
 
 def reference_d1(cfg):
@@ -78,31 +78,31 @@ def reference_d1(cfg):
 class TestAlternation:
     def test_same_kind_edge_reported(self):
         gates = (
-            Gate(0, GateKind.INPUT),
-            Gate(1, GateKind.AND, (0,)),
-            Gate(2, GateKind.AND, (1,)),
+            Gate(GateKind.INPUT),
+            Gate(GateKind.AND, (0,)),
+            Gate(GateKind.AND, (1,)),
         )
         with pytest.raises(AlternationError) as exc_info:
-            validate_alternating(Circuit(gates, 1, 2))
+            validate_alternating(Circuit(gates, 2))
         assert exc_info.value.edges == ((2, 1),)
         assert "2<-1" in str(exc_info.value)
 
     def test_not_gate_rejected(self):
-        gates = (Gate(0, GateKind.INPUT), Gate(1, GateKind.NOT, (0,)))
+        gates = (Gate(GateKind.INPUT), Gate(GateKind.NOT, (0,)))
         with pytest.raises(AlternationError, match="only and/or"):
-            validate_alternating(Circuit(gates, 1, 1))
+            validate_alternating(Circuit(gates, 1))
 
     def test_config_validates_on_construction(self):
-        gates = (Gate(0, GateKind.INPUT), Gate(1, GateKind.AND, (0,)), Gate(2, GateKind.AND, (1,)))
+        gates = (Gate(GateKind.INPUT), Gate(GateKind.AND, (0,)), Gate(GateKind.AND, (1,)))
         with pytest.raises(AlternationError):
-            cfg_from(Circuit(gates, 1, 2), (1,))
+            cfg_from(Circuit(gates, 2), (1,))
 
     def test_config_rejects_non_binary_bits(self):
-        gates = (Gate(0, GateKind.INPUT), Gate(1, GateKind.INPUT), Gate(2, GateKind.AND, (0, 1)))
+        gates = (Gate(GateKind.INPUT), Gate(GateKind.INPUT), Gate(GateKind.AND, (0, 1)))
         with pytest.raises(CircuitError, match="^assignment bits must be 0 or 1$"):
-            CircuitConfig(Circuit(gates, 2, 2), (2, 1))
+            CircuitConfig(Circuit(gates, 2), (2, 1))
         with pytest.raises(CircuitError, match="^assignment has 1 bits, circuit has 2 inputs$"):
-            CircuitConfig(Circuit(gates, 2, 2), (2,))
+            CircuitConfig(Circuit(gates, 2), (2,))
 
     def test_random_alt_circuits_always_alternate(self):
         for seed in range(300):
@@ -112,7 +112,7 @@ class TestAlternation:
 def stdlib_random_alt_circuit(seed, n_inputs, n_gates, fanin_max=3):
     """The gates ``random_alt_circuit`` must build, drawn through Random's own methods from a built pool."""
     rng = random.Random(seed)
-    gates = [Gate(i, GateKind.INPUT) for i in range(n_inputs)]
+    gates = [Gate(GateKind.INPUT)] * n_inputs
     by_kind = {GateKind.AND: [], GateKind.OR: []}
     for gid in range(n_inputs, n_inputs + n_gates):
         kind = rng.choice((GateKind.AND, GateKind.OR))
@@ -125,7 +125,7 @@ def stdlib_random_alt_circuit(seed, n_inputs, n_gates, fanin_max=3):
             pool = list(range(n_inputs)) + by_kind[opposite]
         fanin = rng.randint(1, min(fanin_max, len(pool)))
         inputs = tuple(sorted(rng.sample(pool, fanin)))
-        gates.append(Gate(gid, kind, inputs))
+        gates.append(Gate(kind, inputs))
         by_kind[kind].append(gid)
     return tuple(gates)
 
@@ -136,7 +136,7 @@ def stdlib_random_alt_config(seed, n_inputs, n_gates, fanin_max=3, require_hot=F
     for _ in range(64):
         gates = stdlib_random_alt_circuit(rng.getrandbits(32), n_inputs, n_gates, fanin_max)
         bits = tuple(rng.randint(0, 1) for _ in range(n_inputs))
-        if not require_hot or depth_of_one(cfg_from(Circuit(gates, n_inputs, len(gates) - 1), bits)) >= 1:
+        if not require_hot or depth_of_one(cfg_from(Circuit(gates, len(gates) - 1), bits)) >= 1:
             return gates, bits
     raise RuntimeError("no hot configuration found in 64 draws")
 
@@ -182,20 +182,20 @@ class TestDepthOfOne:
             assert memo_depths(chain)[chain.output] == k
 
     def test_all_cold_is_zero(self):
-        gates = (Gate(0, GateKind.INPUT), Gate(1, GateKind.OR, (0,)), Gate(2, GateKind.AND, (1, 0)))
-        cfg = cfg_from(Circuit(gates, 1, 2), (0,))
+        gates = (Gate(GateKind.INPUT), Gate(GateKind.OR, (0,)), Gate(GateKind.AND, (1, 0)))
+        cfg = cfg_from(Circuit(gates, 2), (0,))
         assert depth_of_one(cfg) == 0
         assert is_depth_zero(cfg)
 
     def test_partial_heat(self):
         # OR(x0) at depth 1 hot, AND(or, x1) at depth 2 cold when x1=0
         gates = (
-            Gate(0, GateKind.INPUT),
-            Gate(1, GateKind.INPUT),
-            Gate(2, GateKind.OR, (0,)),
-            Gate(3, GateKind.AND, (2, 1)),
+            Gate(GateKind.INPUT),
+            Gate(GateKind.INPUT),
+            Gate(GateKind.OR, (0,)),
+            Gate(GateKind.AND, (2, 1)),
         )
-        c = Circuit(gates, 2, 3)
+        c = Circuit(gates, 3)
         assert depth_of_one(cfg_from(c, (1, 0))) == 1
         assert depth_of_one(cfg_from(c, (1, 1))) == 2
         assert depth_of_one(cfg_from(c, (0, 1))) == 0
@@ -227,12 +227,12 @@ class TestDepthOfOne:
 def two_gate_cfg(bits=(1, 1)):
     """x0, x1 -> OR(x0) depth 1, AND(or, x1) depth 2."""
     gates = (
-        Gate(0, GateKind.INPUT),
-        Gate(1, GateKind.INPUT),
-        Gate(2, GateKind.OR, (0,)),
-        Gate(3, GateKind.AND, (2, 1)),
+        Gate(GateKind.INPUT),
+        Gate(GateKind.INPUT),
+        Gate(GateKind.OR, (0,)),
+        Gate(GateKind.AND, (2, 1)),
     )
-    return cfg_from(Circuit(gates, 2, 3), bits)
+    return cfg_from(Circuit(gates, 3), bits)
 
 
 class TestAnalysisLifetime:
@@ -429,8 +429,8 @@ class TestOraclePolicy:
 
 class TestExtraction:
     def test_zero_depth_short_circuits(self):
-        gates = (Gate(0, GateKind.INPUT), Gate(1, GateKind.OR, (0,)))
-        cfg = cfg_from(Circuit(gates, 1, 1), (0,))
+        gates = (Gate(GateKind.INPUT), Gate(GateKind.OR, (0,)))
+        cfg = cfg_from(Circuit(gates, 1), (0,))
         counting = CountingOracle(optimal_value)
         assert extract_depth_of_one(cfg, counting) == 0
         assert counting.calls == 0
@@ -491,8 +491,8 @@ class TestExtraction:
             NoisyOracle(optimal_value, 1.5)
 
     def test_single_gate_instance(self):
-        gates = (Gate(0, GateKind.INPUT), Gate(1, GateKind.OR, (0,)))
-        cfg = cfg_from(Circuit(gates, 1, 1), (1,))  # n = 1, d1 = 1, m = 0
+        gates = (Gate(GateKind.INPUT), Gate(GateKind.OR, (0,)))
+        cfg = cfg_from(Circuit(gates, 1), (1,))  # n = 1, d1 = 1, m = 0
         assert extract_depth_of_one(cfg, optimal_value) == 1
 
 
@@ -519,8 +519,8 @@ class TestExtractionPinned:
 
     def test_probe_states_in_order(self):
         """Per chain length 1, 2, 4: the chain probe, then each circuit gate in ascending id."""
-        gates = two_gate_cfg().circuit.gates + (Gate(4, GateKind.OR, (3,)),)
-        cfg = cfg_from(Circuit(gates, 2, 4), (1, 1))  # 3 logic gates, d1 = 3, m = 2
+        gates = two_gate_cfg().circuit.gates + (Gate(GateKind.OR, (3,)),)
+        cfg = cfg_from(Circuit(gates, 4), (1, 1))  # 3 logic gates, d1 = 3, m = 2
         seen = []
 
         def value_fn(s):
@@ -570,8 +570,8 @@ class TestProbeStates:
         assert all(type(s) is EnvState for s in seen)  # a bare tuple of the same fields would compare equal
 
     def test_two_gate_circuit_probes_built_states_at_horizon_two(self):
-        gates = (Gate(0, GateKind.INPUT), Gate(1, GateKind.OR, (0,)), Gate(2, GateKind.AND, (1,)))
-        cfg = cfg_from(Circuit(gates, 1, 2), (1,))  # horizon max(1, 2) = 2 at chain length 1: t = 1 stays open
+        gates = (Gate(GateKind.INPUT), Gate(GateKind.OR, (0,)), Gate(GateKind.AND, (1,)))
+        cfg = cfg_from(Circuit(gates, 2), (1,))  # horizon max(1, 2) = 2 at chain length 1: t = 1 stays open
         estimate, seen = recording_extraction(cfg)
         assert estimate == 2
         assert seen == reference_probe_states(cfg)
@@ -581,8 +581,8 @@ class TestProbeStates:
         assert len(seen) == 6  # (2 + 1) probes at chain lengths 1 and 2
 
     def test_one_gate_circuit_probes_a_done_state(self):
-        gates = (Gate(0, GateKind.INPUT), Gate(1, GateKind.OR, (0,)))
-        cfg = cfg_from(Circuit(gates, 1, 1), (1,))  # horizon max(1, 1) = 1: the pick ends the episode
+        gates = (Gate(GateKind.INPUT), Gate(GateKind.OR, (0,)))
+        cfg = cfg_from(Circuit(gates, 1), (1,))  # horizon max(1, 1) = 1: the pick ends the episode
         estimate, seen = recording_extraction(cfg)
         assert estimate == 1
         assert seen == reference_probe_states(cfg)
