@@ -6,7 +6,9 @@ steps into one table over (2k+1)-bit windows: one lookup round then
 advances k rows at the price of a 2^(2k+1)-entry table, built bit-sliced:
 each window cell is one 2^(2k+1)-bit int whose bit w is that cell in
 window w, so k rows of bitwise rule updates evolve every window at once
-(about k^2 plane updates).  Cells outside the
+(about k^2 plane updates).  A ``CompiledRule`` is just ``(rule, k)``:
+it builds its table from the rule with ``compile_steps``, the one table
+builder, so no table can disagree with its rule.  Cells outside the
 tape read as 0 on every row.  A cell at least k from either end depends
 only on its width-(2k+1) light cone of real cells, so one lookup
 reproduces k plain steps exactly; the k cells nearest each end instead
@@ -19,6 +21,7 @@ table over the tape padded with a 0 at each end, a compiled row the k-row one.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 from typing import Iterator, Sequence
 
@@ -48,20 +51,16 @@ def rule_table(rule: int) -> tuple[int, ...]:
     return _RULE_TABLES[rule]
 
 
-def _check_bits(cells: Sequence[int], what: str) -> None:
-    """Raise ``ValueError(f"{what} must be 0 or 1")`` unless every item is the int 0 or 1 (bools included)."""
+def _check_tape(cells: Sequence[int]) -> None:
+    """Raise ``ValueError`` unless the tape is non-empty and every cell is the int 0 or 1 (bools included)."""
+    if len(cells) == 0:
+        raise ValueError("tape must be non-empty")
     try:
         if not bytes(cells).translate(None, b"\x00\x01"):
             return
     except (TypeError, ValueError):  # a float, a str or an int outside 0..255
         pass
-    raise ValueError(f"{what} must be 0 or 1")
-
-
-def _check_tape(cells: Sequence[int]) -> None:
-    if len(cells) == 0:
-        raise ValueError("tape must be non-empty")
-    _check_bits(cells, "tape cells")
+    raise ValueError("tape cells must be 0 or 1")
 
 
 def _lookups(tape: Sequence[int], table: Sequence[int], k: int) -> tuple[int, ...]:
@@ -115,20 +114,25 @@ def evolve(cells: Sequence[int], rule: int, steps: int, meter: CostMeter | None 
 
 @dataclass(frozen=True)
 class CompiledRule:
-    """k plain rows folded into one table over (2k+1)-bit windows."""
+    """k plain rows of ``rule`` folded into one table over (2k+1)-bit windows.
+
+    The table is built from the rule by ``compile_steps`` when the rule is
+    made, which also refuses a k below 1, a table over ``TABLE_BUDGET`` and a
+    rule outside 0..255; no table is taken from outside, so none can
+    disagree with its rule.  Equality, hashing and ``repr`` see only
+    ``(rule, k)``.
+    """
 
     rule: int
     k: int
-    table: tuple[int, ...]  # index reads the window left-to-right, MSB first
 
     def __post_init__(self) -> None:
-        if self.k < 1:
-            raise ValueError("k must be >= 1")
-        rule_table(self.rule)
-        n = len(self.table)  # 2^(2k+1) is built only once n's bit length matches it
-        if n.bit_length() != 2 * self.k + 2 or n != 1 << (2 * self.k + 1):
-            raise ValueError(f"a {self.k}-row table needs 2^{2 * self.k + 1} entries, got {n}")
-        _check_bits(self.table, "table entries")
+        self.table  # build (and check) once, here
+
+    @cached_property
+    def table(self) -> tuple[int, ...]:
+        """``compile_steps(rule, k)``: entry w is the center cell k rows down from window w."""
+        return compile_steps(self.rule, self.k)
 
 
 def _check_table_budget(k: int) -> None:
@@ -148,8 +152,12 @@ def _mux(s: int, a: int, b: int) -> int:
     return a if a is b else b ^ (s & (a ^ b))
 
 
-def compile_steps(rule: int, k: int) -> CompiledRule:
-    """Build the k-row table: entry = center cell after k plain steps of its window.
+def compile_steps(rule: int, k: int) -> tuple[int, ...]:
+    """The k-row table: entry w = center cell after k plain steps of window w.
+
+    Window w reads its 2k+1 cells left to right, MSB first.  This is the one
+    table builder; ``CompiledRule`` calls it.  It checks k, then the
+    budget, then the rule, before building anything.
 
     The build is bit-sliced: every one of the 2^(2k+1) windows evolves at
     once.  Window cell i is a "plane", one 2^(2k+1)-bit int whose bit w is
@@ -186,7 +194,7 @@ def compile_steps(rule: int, k: int) -> CompiledRule:
             planes[i] = _mux(l, _mux(c, g[p11], g[p10]), _mux(c, g[p01], g[p00]))
         del planes[-2:]
     bits = format(planes.pop(), f"0{size}b")[::-1].encode().translate(_BIT_BYTES)
-    return CompiledRule(rule, k, tuple(bits))
+    return tuple(bits)
 
 
 def step_compiled(cells: Sequence[int], cr: CompiledRule, meter: CostMeter | None = None) -> tuple[int, ...]:
@@ -216,12 +224,13 @@ def compiled_rounds(
 ) -> Iterator[tuple[int, ...]]:
     """Yield the tape after each of ceil(steps/k) compiled rounds.
 
-    The full rounds share one k-row table; a remainder ``steps mod k`` is one
-    extra round with a smaller table, so the meter depth is exactly
-    ceil(steps/k).  The tape, the rule and the k-row table budget are
-    checked before the first round, even when no full round runs.  Table
-    construction is not charged to the meter; the table is a width cost
-    reported separately by callers.
+    The full rounds share one ``CompiledRule(rule, k)``; a remainder
+    ``steps mod k`` is one extra round with ``CompiledRule(rule, steps mod k)``,
+    so the meter depth is exactly ceil(steps/k).  The tape, the rule and the
+    k-row table budget are checked before the first round, even when no
+    full round runs and so no k-row table is built.  Table construction is
+    not charged to the meter; the table is a width cost reported
+    separately by callers.
     """
     if steps < 0:
         raise ValueError("steps must be >= 0")
@@ -234,12 +243,12 @@ def compiled_rounds(
     full, rem = divmod(steps, k)
     cur = tuple(cells)
     if full:
-        cr = compile_steps(rule, k)
+        cr = CompiledRule(rule, k)
         for _ in range(full):
             cur = step_compiled(cur, cr, meter)
             yield cur
     if rem:
-        yield step_compiled(cur, compile_steps(rule, rem), meter)
+        yield step_compiled(cur, CompiledRule(rule, rem), meter)
 
 
 def evolve_compiled(

@@ -231,15 +231,19 @@ def _format_aux_value(v: int | str) -> str:
 def emit_csv(records: list[BenchRecord]) -> str:
     """Fixed-header CSV; aux is a semicolon-joined key=value list.
 
-    The family, the solver and every aux key must be a str, an aux value an
-    int or a str (not a bool), and no text field may hold a separator:
-    anything else raises ``ValueError``, so ``parse_csv`` reads back every
-    record emitted.
+    The family, the solver and every aux key must be a str, the size, seed,
+    work, depth and wall_ns an int, an aux value an int or a str, no int a
+    bool, and no text field may hold a separator: anything else raises
+    ``ValueError``, so ``parse_csv`` reads back every record emitted.
     """
     lines = [CSV_HEADER]
     for r in records:
         _check_text("family", r.family)
         _check_text("solver", r.solver)
+        for name in ("size", "seed", "work", "depth", "wall_ns"):
+            value = getattr(r, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{name} {value!r} must be an int")
         for k in r.aux:
             _check_text("aux key", k)
         aux = ";".join(f"{k}={_format_aux_value(v)}" for k, v in r.aux.items())

@@ -197,11 +197,15 @@ def topo_layers(c: Circuit) -> list[list[int]]:
 
 
 def check_assignment(bits: Sequence[int], n_inputs: int) -> None:
-    """Raise CircuitError unless ``bits`` holds exactly ``n_inputs`` values, each 0 or 1."""
+    """Raise CircuitError unless ``bits`` holds exactly ``n_inputs`` values, each the int 0 or 1 (bools included)."""
     if len(bits) != n_inputs:
         raise CircuitError(f"assignment has {len(bits)} bits, circuit has {n_inputs} inputs")
-    if any(b not in (0, 1) for b in bits):
-        raise CircuitError("assignment bits must be 0 or 1")
+    try:
+        if not bytes(bits).translate(None, b"\x00\x01"):
+            return
+    except (TypeError, ValueError):  # a float, a str or an int outside 0..255
+        pass
+    raise CircuitError("assignment bits must be 0 or 1")
 
 
 def terminal_values(c: Circuit, bits: Sequence[int]) -> list[int | None]:

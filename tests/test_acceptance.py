@@ -30,7 +30,7 @@ def test_c1_compiled_stepping_all_rules():
     bad_sizes = 0
     for rule in range(256):
         for k in (1, 2, 3):
-            cr = automata.compile_steps(rule, k)
+            cr = automata.CompiledRule(rule, k)
             if len(cr.table) != (8, 32, 128)[k - 1]:
                 bad_sizes += 1
             for _ in range(50):

@@ -1,6 +1,7 @@
 """Cellular automaton stepping, k-row compilation, and the cell decision view."""
 
 import collections
+import dataclasses
 import math
 import random
 import re
@@ -71,14 +72,13 @@ def test_evolve_meter_depth():
 
 
 def test_compile_k1_equals_rule_table():
-    cr = compile_steps(110, 1)
-    assert cr.table == rule_table(110)
+    assert compile_steps(110, 1) == rule_table(110)
 
 
 def test_compile_table_sizes():
-    assert len(compile_steps(30, 1).table) == 8
-    assert len(compile_steps(30, 2).table) == 32
-    assert len(compile_steps(30, 3).table) == 128
+    assert len(compile_steps(30, 1)) == 8
+    assert len(compile_steps(30, 2)) == 32
+    assert len(compile_steps(30, 3)) == 128
 
 
 def _window(code: int, k: int) -> tuple[int, ...]:
@@ -88,24 +88,24 @@ def _window(code: int, k: int) -> tuple[int, ...]:
 def test_compiled_entries_match_plain_steps():
     for k in (1, 2, 3, 4):
         for rule in range(256):
-            cr = compile_steps(rule, k)
-            for code in range(len(cr.table)):
-                assert cr.table[code] == naive_evolve(_window(code, k), rule, k)[k], (rule, k, code)
+            table = compile_steps(rule, k)
+            for code in range(len(table)):
+                assert table[code] == naive_evolve(_window(code, k), rule, k)[k], (rule, k, code)
 
 
 def test_compiled_entries_spot_check_k8():
     rng = random.Random(8)
     for rule in (30, 110):
-        cr = compile_steps(rule, 8)
-        for code in rng.sample(range(len(cr.table)), 200):
-            assert cr.table[code] == naive_evolve(_window(code, 8), rule, 8)[8], (rule, code)
+        table = compile_steps(rule, 8)
+        for code in rng.sample(range(len(table)), 200):
+            assert table[code] == naive_evolve(_window(code, 8), rule, 8)[8], (rule, code)
 
 
 def test_compiled_tables_match_the_composition_oracle():
     cases = [(rule, k) for k in range(1, 7) for rule in range(256)] + [(rule, 8) for rule in (30, 90, 110)]
     for rule, k in cases:
-        table = compile_steps(rule, k).table
-        assert type(table) is tuple and table == compose_tables(rule, k), (rule, k)
+        table = compile_steps(rule, k)
+        assert type(table) is tuple and table == compose_tables(rule, k) == CompiledRule(rule, k).table, (rule, k)
 
 
 def test_compile_steps_checks_k_then_budget_then_rule():
@@ -118,20 +118,32 @@ def test_compile_steps_checks_k_then_budget_then_rule():
 
 
 @pytest.mark.parametrize(
-    "rule, k, table, message",
+    "rule, k, error, message",
     [
-        (110, 0, (0, 0), "k must be >= 1"),  # step_compiled would return the tape twice over
-        (300, 1, (0,) * 8, "rule 300 outside 0..255"),
-        (110, 2, (0,) * 8, "a 2-row table needs 2^5 entries, got 8"),  # step_compiled would raise IndexError
-        (110, 10**9, (), "a 1000000000-row table needs 2^2000000001 entries, got 0"),
-        (110, 2, (5,) * 32, "table entries must be 0 or 1"),  # step_compiled would write 5s into the tape
-        (110, 1, (0, 1.0, 1, 1, 0, 1, 1, 0), "table entries must be 0 or 1"),  # 1.0 == 1, but is no int
+        (110, 0, ValueError, "k must be >= 1"),  # step_compiled would return the tape twice over
+        (300, 1, ValueError, "rule 300 outside 0..255"),
+        (110, 10**9, CapacityError, "2^2000000001 table entries exceeds budget 33554432"),
     ],
-    ids=["k-below-one", "rule-out-of-range", "table-too-short", "huge-k", "entry-not-a-bit", "float-entry"],
+    ids=["k-below-one", "rule-out-of-range", "huge-k"],
 )
-def test_compiled_rule_refuses_tables_that_give_wrong_answers(rule, k, table, message):
-    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        CompiledRule(rule, k, table)
+def test_compiled_rule_refuses_tables_that_give_wrong_answers(rule, k, error, message):
+    """Each row's table would give wrong answers or none; ``CompiledRule`` refuses it as ``compile_steps`` does."""
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        CompiledRule(rule, k)
+
+
+def test_compiled_rule_is_its_rule_and_k():
+    """No table is taken from outside: the table is the rule's, and (rule, k) is the whole identity."""
+    assert [f.name for f in dataclasses.fields(CompiledRule)] == ["rule", "k"]
+    with pytest.raises(TypeError):
+        CompiledRule(110, 1, (0,) * 8)
+    for rule, k in ((110, 1), (30, 3), (255, 5)):
+        cr = CompiledRule(rule, k)
+        assert cr.table == compile_steps(rule, k)
+        assert cr == CompiledRule(rule, k) and hash(cr) == hash(CompiledRule(rule, k))
+        assert repr(cr) == f"CompiledRule(rule={rule}, k={k})"
+        assert dataclasses.replace(cr, k=2).table == compile_steps(rule, 2)
+    assert CompiledRule(110, 2) != CompiledRule(110, 3) and CompiledRule(110, 2) != CompiledRule(30, 2)
 
 
 def test_capacity_budget(monkeypatch):
@@ -155,7 +167,7 @@ def test_step_compiled_equals_k_plain_steps():
         tapes = [tuple(rng.getrandbits(1) for _ in range(w)) for w in range(1, 4 * k + 2)]
         tapes.append(parse_tape("01001110001011010011"))
         for rule in range(256):  # odd rules turn 000 into 1
-            cr = compile_steps(rule, k)
+            cr = CompiledRule(rule, k)
             for tape in tapes:
                 assert step_compiled(tape, cr) == naive_evolve(tape, rule, k), (rule, k, tape)
 
@@ -175,7 +187,7 @@ def test_compiled_round_evolves_its_borders_once(monkeypatch):
     for name in ("evolve", "step"):
         monkeypatch.setattr(automata, name, counting(name))
     k, tape = 3, [0, 1, 1, 0, 1, 0, 0, 1, 1, 1, 0, 1, 0]  # wider than 2k, and a list
-    assert step_compiled(tape, compile_steps(110, k)) == naive_evolve(tape, 110, k)
+    assert step_compiled(tape, CompiledRule(110, k)) == naive_evolve(tape, 110, k)
     assert calls == {"evolve": 1, "step": k}
 
 
@@ -186,7 +198,7 @@ def test_compiled_round_evolves_its_borders_once(monkeypatch):
     tape=st.lists(st.integers(0, 1), min_size=1, max_size=40),
 )
 def test_compiled_equivalence_property(rule, k, tape):
-    cr = compile_steps(rule, k)
+    cr = CompiledRule(rule, k)
     assert step_compiled(tuple(tape), cr) == evolve(tuple(tape), rule, k)
 
 
@@ -292,7 +304,7 @@ def test_huge_k_refused_before_building_the_table():
 
 def test_table_budget_boundaries(monkeypatch):
     monkeypatch.setattr(automata, "TABLE_BUDGET", 128)
-    assert len(compile_steps(110, 3).table) == 128
+    assert len(compile_steps(110, 3)) == 128
     for budget in (127, 0, -1):
         monkeypatch.setattr(automata, "TABLE_BUDGET", budget)
         with pytest.raises(CapacityError, match=f"^2\\^7 = 128 table entries exceeds budget {budget}$"):
@@ -344,7 +356,7 @@ def test_cells_other_than_0_1_rejected():
         with pytest.raises(ValueError, match=message):
             evolve(bad, 110, 0)
         with pytest.raises(ValueError, match=message):
-            step_compiled(bad, compile_steps(110, 1))
+            step_compiled(bad, CompiledRule(110, 1))
     with pytest.raises(ValueError, match=message):
         evolve_compiled((0, 0, 0, 2, 0, 0, 0, 0), 110, 2, 2)
     with pytest.raises(ValueError, match=message):

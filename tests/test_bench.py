@@ -1,7 +1,9 @@
 """Suite runner determinism, CSV round trips, and the two-path report."""
 
+import dataclasses
 import math
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -239,6 +241,13 @@ class TestCsv:
     def test_aux_value_must_be_int_or_str(self, value):
         with pytest.raises(ValueError, match="must be an int or a str"):
             emit_csv([BenchRecord("s5", 1, "tree", 0, 0, 0, 0, {"v": value})])
+
+    @pytest.mark.parametrize("value", [1.5, True, "7", None])
+    @pytest.mark.parametrize("column", ["size", "seed", "work", "depth", "wall_ns"])
+    def test_int_column_must_be_an_int(self, column, value):
+        record = dataclasses.replace(BenchRecord("ca", 1, "plain", 0, 1, 1, 1, {}), **{column: value})
+        with pytest.raises(ValueError, match=f"^{column} {re.escape(repr(value))} must be an int$"):
+            emit_csv([record])
 
     @pytest.mark.parametrize("sep", [",", ";", "=", "\n", "\r"])
     @pytest.mark.parametrize("field", ["family", "solver", "aux key", "aux value"])

@@ -316,6 +316,15 @@ class TestEval:
         with pytest.raises(CircuitError, match="assignment"):
             eval_serial(chain3(), (1, 0))
 
+    def test_assignment_bits_must_be_ints_0_or_1(self):
+        """A float or str bit would flow into the gate values; bools are ints and stay accepted."""
+        c = Circuit((Gate(GateKind.INPUT), Gate(GateKind.NOT, (0,)), Gate(GateKind.MAJORITY, (0, 1))), 1)
+        for bad in ((1.0,), ("1",), (2,), (-1,)):
+            for evaluate in (eval_serial, eval_layered, cvp):
+                with pytest.raises(CircuitError, match="^assignment bits must be 0 or 1$"):
+                    evaluate(c, bad)
+        assert eval_serial(c, (True,)) == eval_serial(c, (1,)) == (1, 0, 0)
+
     @pytest.mark.parametrize("kind", LOGIC_KINDS, ids=lambda k: k.value)
     def test_every_feed_tuple_matches_gate_value(self, kind):
         for arity in (1,) if kind is GateKind.NOT else (1, 2, 3, 4):

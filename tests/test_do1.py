@@ -99,8 +99,9 @@ class TestAlternation:
 
     def test_config_rejects_non_binary_bits(self):
         gates = (Gate(GateKind.INPUT), Gate(GateKind.INPUT), Gate(GateKind.AND, (0, 1)))
-        with pytest.raises(CircuitError, match="^assignment bits must be 0 or 1$"):
-            CircuitConfig(Circuit(gates, 2), (2, 1))
+        for bad in ((2, 1), (1.0, 1), (1, "1")):  # 1.0 == 1, but is no int
+            with pytest.raises(CircuitError, match="^assignment bits must be 0 or 1$"):
+                CircuitConfig(Circuit(gates, 2), bad)
         with pytest.raises(CircuitError, match="^assignment has 1 bits, circuit has 2 inputs$"):
             CircuitConfig(Circuit(gates, 2), (2,))
 
