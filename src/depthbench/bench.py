@@ -232,9 +232,10 @@ def emit_csv(records: list[BenchRecord]) -> str:
     """Fixed-header CSV; aux is a semicolon-joined key=value list.
 
     The family, the solver and every aux key must be a str, the size, seed,
-    work, depth and wall_ns an int, an aux value an int or a str, no int a
-    bool, and no text field may hold a separator: anything else raises
-    ``ValueError``, so ``parse_csv`` reads back every record emitted.
+    work, depth and wall_ns an int, the aux a dict, an aux value an int or a
+    str, no int a bool, and no text field may hold a separator: anything
+    else raises ``ValueError``, so ``parse_csv`` reads back every record
+    emitted.
     """
     lines = [CSV_HEADER]
     for r in records:
@@ -244,6 +245,8 @@ def emit_csv(records: list[BenchRecord]) -> str:
             value = getattr(r, name)
             if isinstance(value, bool) or not isinstance(value, int):
                 raise ValueError(f"{name} {value!r} must be an int")
+        if not isinstance(r.aux, dict):
+            raise ValueError(f"aux {r.aux!r} must be a dict")
         for k in r.aux:
             _check_text("aux key", k)
         aux = ";".join(f"{k}={_format_aux_value(v)}" for k, v in r.aux.items())

@@ -5,7 +5,10 @@ A permutation is a tuple of images, ``p[i]`` being where point ``i`` goes;
 compositions either way, but the balanced tree finishes in ceil(log2 n)
 rounds while the left-to-right fold needs n-1.  The wire format is one
 5-digit image string per line, e.g. ``10234`` for the transposition of
-0 and 1.
+0 and 1.  ``random_word`` makes the ``getrandbits`` draws of
+``Random.sample(range(5), 5)`` per letter and turns them into one index
+into ``_LETTERS``, the 120 permutations built once at import, so the
+letters of every drawn word are shared tuples.
 """
 
 from __future__ import annotations
@@ -24,9 +27,13 @@ GROUP_ORDER = 120
 
 
 def check_perm(p: Sequence[int]) -> Perm:
-    if len(p) != 5 or sorted(p) != [0, 1, 2, 3, 4]:
-        raise ValueError(f"{p!r} is not a permutation of 0..4")
-    return tuple(p)  # type: ignore[return-value]
+    """``p`` as a tuple of ints, if it holds each of the ints 0..4 once (bools included)."""
+    try:
+        if len(p) == 5 and sorted(images := bytes(p)) == [0, 1, 2, 3, 4]:
+            return tuple(images)  # type: ignore[return-value]
+    except (TypeError, ValueError):  # no length, a float, a str or an int outside 0..255
+        pass
+    raise ValueError(f"{p!r} is not a permutation of 0..4")
 
 
 def compose(a: Perm, b: Perm) -> Perm:
@@ -115,8 +122,22 @@ def derived_series() -> list[int]:
         current = nxt
 
 
-# (pool size m, m.bit_length()) for each draw of Random.sample(range(5), 5)
-_SAMPLE_DRAWS = ((5, 3), (4, 3), (3, 2), (2, 2), (1, 1))
+def _sample_letters() -> tuple[Perm, ...]:
+    """The 120 permutations in draw order: entry 24*r5 + 6*r4 + 2*r3 + r2 is
+    the letter ``Random.sample(range(5), 5)`` returns when its accepted draws
+    below 5, 4, 3 and 2 are r5, r4, r3 and r2 (swap-remove from a 5-slot pool)."""
+    letters = []
+    for r5, r4, r3, r2 in itertools.product(range(5), range(4), range(3), range(2)):
+        pool = [0, 1, 2, 3, 4]
+        letter = []
+        for m, r in zip((5, 4, 3, 2, 1), (r5, r4, r3, r2, 0)):
+            letter.append(pool[r])
+            pool[r] = pool[m - 1]
+        letters.append(tuple(letter))
+    return tuple(letters)  # type: ignore[arg-type]
+
+
+_LETTERS = _sample_letters()
 
 
 def random_word(seed: int, n: int) -> list[Perm]:
@@ -124,25 +145,36 @@ def random_word(seed: int, n: int) -> list[Perm]:
 
     Letter i is ``tuple(rng.sample(range(5), 5))`` for the i-th call on
     ``rng = random.Random(seed)``: the loop makes exactly the ``getrandbits``
-    draws that ``sample`` makes for a population of 5 (rejection below m for
-    m = 5..1, then swap-remove from a 5-slot pool), without its argument
-    checks.  The m = 1 draw picks nothing but is kept, since ``sample`` makes
-    it too.  ``tests/test_s5.py`` pins the equality against ``sample``.
+    draws that ``sample`` makes for a population of 5 (``m.bit_length()``
+    bits, redrawn while >= m, for m = 5..1), without its argument checks.
+    The accepted draws below 5, 4, 3 and 2 index the one letter they pick in
+    ``_LETTERS``, so every letter is one of 120 shared tuples and no pool or
+    letter is built per draw.  The m = 1 draw picks nothing but is kept,
+    since ``sample`` makes it too.  ``tests/test_s5.py`` pins the equality
+    against ``sample``.
     """
     if n < 1:
         raise ValueError("word length must be >= 1")
     getrandbits = random.Random(seed).getrandbits
+    letters = _LETTERS
     word: list[Perm] = []
+    append = word.append
     for _ in range(n):
-        pool = [0, 1, 2, 3, 4]
-        letter = []
-        for m, width in _SAMPLE_DRAWS:
-            r = getrandbits(width)
-            while r >= m:
-                r = getrandbits(width)
-            letter.append(pool[r])
-            pool[r] = pool[m - 1]
-        word.append(tuple(letter))  # type: ignore[arg-type]
+        r5 = getrandbits(3)
+        while r5 >= 5:
+            r5 = getrandbits(3)
+        r4 = getrandbits(3)
+        while r4 >= 4:
+            r4 = getrandbits(3)
+        r3 = getrandbits(2)
+        while r3 >= 3:
+            r3 = getrandbits(2)
+        r2 = getrandbits(2)
+        while r2 >= 2:
+            r2 = getrandbits(2)
+        while getrandbits(1):
+            pass
+        append(letters[24 * r5 + 6 * r4 + 2 * r3 + r2])
     return word
 
 

@@ -266,6 +266,11 @@ class TestCsv:
         with pytest.raises(ValueError, match=f"^{field} {value!r} must be a str$"):
             emit_csv([BenchRecord(family, 1, solver, 0, 0, 0, 0, aux)])
 
+    @pytest.mark.parametrize("aux", [None, "ab"])
+    def test_aux_must_be_a_dict(self, aux):
+        with pytest.raises(ValueError, match=f"^aux {aux!r} must be a dict$"):
+            emit_csv([BenchRecord("s5", 1, "tree", 0, 0, 0, 0, aux)])
+
     def test_bad_header_rejected(self):
         with pytest.raises(ValueError, match="header"):
             parse_csv("nope\n")

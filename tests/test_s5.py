@@ -1,5 +1,6 @@
 """Permutation composition, serial/tree folds, derived series, wire format."""
 
+import itertools
 import math
 import random
 
@@ -8,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from depthbench.meters import CostMeter
 from depthbench.s5 import (
+    _LETTERS,
     GROUP_ORDER,
     IDENTITY,
     all_perms,
@@ -128,6 +130,32 @@ class TestDerivedSeries:
         assert len(all_perms()) == GROUP_ORDER == 120
 
 
+class TestCheckPerm:
+    def test_returns_the_tuple(self):
+        assert check_perm([1, 0, 2, 3, 4]) == (1, 0, 2, 3, 4)
+
+    @pytest.mark.parametrize(
+        "p",
+        [
+            (0.0, 1, 2, 3, 4),  # a float equal to an image
+            (0, "1", 2, 3, 4),  # a str, which sorted cannot order among ints
+            (0, 1, 2, 3, 3),
+            (0, 1, 2, 3),
+            (-1, 1, 2, 3, 4),
+            (0, 1, 2, 3, 256),
+            5,
+        ],
+    )
+    def test_anything_but_the_ints_0_to_4_is_refused(self, p):
+        with pytest.raises(ValueError, match="is not a permutation of 0..4$"):
+            check_perm(p)
+
+    def test_bools_are_ints(self):
+        p = check_perm((False, True, 2, 3, 4))
+        assert p == IDENTITY
+        assert format_perm(p) == "01234"
+
+
 class TestWireFormat:
     def test_perm_round_trip(self):
         assert parse_perm("10234") == (1, 0, 2, 3, 4)
@@ -157,6 +185,32 @@ def test_random_word_deterministic():
     assert random_word(5, 20) != random_word(6, 20)
 
 
+class ScriptedDraws(random.Random):
+    """A Random whose ``getrandbits`` returns the given values in turn."""
+
+    def __init__(self, draws):
+        super().__init__(0)
+        self.draws = iter(draws)
+
+    def getrandbits(self, k):
+        return next(self.draws)
+
+
+class TestLetterTable:
+    def test_holds_each_permutation_once(self):
+        assert len(_LETTERS) == GROUP_ORDER
+        assert set(_LETTERS) == set(all_perms())
+
+    def test_entries_are_what_sample_picks(self):
+        for r5, r4, r3, r2 in itertools.product(range(5), range(4), range(3), range(2)):
+            picked = ScriptedDraws([r5, r4, r3, r2, 0]).sample(range(5), 5)
+            assert _LETTERS[24 * r5 + 6 * r4 + 2 * r3 + r2] == tuple(picked)
+
+    def test_word_letters_are_the_shared_tuples(self):
+        shared = {id(p) for p in _LETTERS}
+        assert all(id(p) in shared for p in random_word(9, 5000))
+
+
 def sampled_word(seed, n):
     """The word ``random_word`` must draw: one Random.sample per letter."""
     rng = random.Random(seed)
@@ -178,6 +232,10 @@ class TestRandomWordMatchesSample:
     @given(seed=st.integers(-(2**70), 2**70), n=st.sampled_from([1, 2, 3, 64]))
     def test_drawn_seeds(self, seed, n):
         assert random_word(seed, n) == sampled_word(seed, n)
+
+    @pytest.mark.parametrize("seed", [0, 2**64 + 1])
+    def test_scale_workload_length(self, seed):
+        assert random_word(seed, 65536) == sampled_word(seed, 65536)
 
 
 def test_memorization_figure():
