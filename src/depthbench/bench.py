@@ -120,22 +120,15 @@ def _run_do1(case: BenchCase, params: dict, meter: CostMeter) -> dict:
     if case.solver == "serial":
         eval_serial(cfg.circuit, cfg.bits, meter)
         return {"d1": do1.depth_of_one(cfg)}
-    counting = do1.CountingOracle(do1.optimal_value)
-    estimate = do1.extract_depth_of_one(cfg, counting)
-    # probes all happen against independent states: one parallel round
-    meter.charge(counting.calls, 1 if counting.calls else 0)
-    return {"d1": do1.depth_of_one(cfg), "estimate": estimate, "probes": counting.calls}
+    estimate = do1.extract_depth_of_one(cfg, do1.optimal_value, meter)
+    return {"d1": do1.depth_of_one(cfg), "estimate": estimate, "probes": meter.work}
 
 
 def _run_derand(case: BenchCase, params: dict, meter: CostMeter) -> dict:
-    vocab = params["vocab"]
     decider = derand.SimulatedDecider(derand.word_parity, params["p"])
     result = derand.find_universal_seeds(
-        decider, case.size, vocab, params["delta_all"], rng_seed=case.seed, max_attempts=params["max_attempts"]
+        decider, case.size, params["vocab"], params["delta_all"], case.seed, params["max_attempts"], meter
     )
-    # every attempt decides all k seeds of each input, in one round: the
-    # SimulatedDecider's search makes exactly these k·vocab^n (word, seed) hashes
-    meter.charge(result.attempts * (vocab**case.size) * result.k, result.attempts)
     return {"k": result.k, "attempts": result.attempts, "found": int(result.success)}
 
 

@@ -165,12 +165,12 @@ def cmd_do1(args) -> int:
         oracle = do1.optimal_value
     else:
         raise ValueError("--extract needs --exact-oracle or --noise EPS")
-    counting = do1.CountingOracle(oracle)
-    estimate = do1.extract_depth_of_one(config, counting)
+    meter = CostMeter()
+    estimate = do1.extract_depth_of_one(config, oracle, meter)
     print(estimate)
     ok, detail = do1.bracket(estimate, d1, eps)
     status = "ok" if ok else "VIOLATED"
-    print(f"bracket {status}: d1={d1} estimate={estimate} probes={counting.calls} ({detail})", file=sys.stderr)
+    print(f"bracket {status}: d1={d1} estimate={estimate} probes={meter.work} ({detail})", file=sys.stderr)
     return EXIT_OK if ok else EXIT_INTERNAL
 
 

@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
-from .meters import CapacityError
+from .meters import CapacityError, CostMeter
 
 Word = tuple[int, ...]
 
@@ -42,6 +42,12 @@ def word_parity(word: Word) -> int:
 def _check_p(p: float) -> None:
     if not 0 <= p < 0.5:
         raise ValueError(f"error bound p={p} must satisfy 0 <= p < 1/2")
+
+
+def _check_count(name: str, value: int, low: int) -> None:
+    """Raise ``ValueError`` unless ``value`` is an int (bools included) of at least ``low``."""
+    if not isinstance(value, int) or value < low:
+        raise ValueError(f"{name} must be an int >= {low}")
 
 
 class SimulatedDecider:
@@ -147,11 +153,14 @@ def union_bound_k(n: int, vocab_size: int, delta_all: float, p: float) -> int:
     That is ``hoeffding_k`` at a per-input delta of delta_all / vocab^n,
     taken in log form, ln(1/delta) = n ln vocab + ln(1/delta_all), so a
     large input space cannot underflow it.  A decider with p = 0 is never
-    wrong, so k = 1 suffices there.
+    wrong, so k = 1 suffices there.  ``n`` must be an int >= 0 (n = 0 is the
+    one empty word) and ``vocab_size`` an int >= 1, else ``ValueError``.
     """
     _check_p(p)
     if not 0 < delta_all < 1:
         raise ValueError(f"delta_all={delta_all} must lie in (0, 1)")
+    _check_count("n", n, 0)
+    _check_count("vocab_size", vocab_size, 1)
     if p == 0:
         return 1
     target = n * math.log(vocab_size) - math.log(delta_all)
@@ -258,7 +267,8 @@ class SeedSearchResult:
 
 
 def find_universal_seeds(
-    decider, n: int, vocab_size: int, delta_all: float, rng_seed: int, max_attempts: int = 32
+    decider, n: int, vocab_size: int, delta_all: float, rng_seed: int, max_attempts: int = 32,
+    meter: CostMeter | None = None,
 ) -> SeedSearchResult:
     """Draw random bundles until one is correct on every length-n word.
 
@@ -274,9 +284,17 @@ def find_universal_seeds(
     is one input of any length, but hashing it costs n).  vocab^n is built
     only where it is below 2^256, so a huge one is refused as a power, and
     a vocab or n too long to write in decimal is named by its bit length.
-    Failure after ``max_attempts`` returns a result with ``bundle=None`` and
-    the full per-attempt error history.
+    ``n``, ``vocab_size`` and ``max_attempts`` must be ints >= 1 (bools
+    included), else ``ValueError``.  Failure after ``max_attempts`` returns
+    a result with ``bundle=None`` and the full per-attempt error history.
+
+    Each attempt charges ``meter`` one round of k * vocab^n work: the
+    model's count, also where a vote stopped early.  A refused search
+    charges nothing.
     """
+    for name, value in (("n", n), ("vocab_size", vocab_size), ("max_attempts", max_attempts)):
+        if not isinstance(value, int):
+            raise ValueError(f"{name} must be an int")
     if n < 1 or vocab_size < 1:
         raise ValueError("n and vocab_size must be >= 1")
     if max_attempts < 1:
@@ -293,11 +311,13 @@ def find_universal_seeds(
         raise CapacityError(
             f"{k} seeds x {n_words} inputs = {k * n_words} decider calls per attempt exceeds budget {INPUT_BUDGET}"
         )
+    meter = meter if meter is not None else CostMeter()
     rng = random.Random(rng_seed)
     errors: list[int] = []
     for attempt in range(1, max_attempts + 1):
         bundle = SeedBundle(tuple(rng.getrandbits(64) for _ in range(k)))
         bad = count_bundle_errors(decider, bundle, n, vocab_size)
+        meter.charge(k * n_words, 1)
         errors.append(bad)
         if bad == 0:
             return SeedSearchResult(bundle, k, attempt, errors)

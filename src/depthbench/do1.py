@@ -35,6 +35,7 @@ from .circuits import (
     stdlib_draws,
     terminal_values,
 )
+from .meters import CostMeter
 
 
 class AlternationError(CircuitError):
@@ -302,7 +303,9 @@ def rollout(cfg: CircuitConfig, chain_len: int, policy: Callable[[EnvState], Act
     return total
 
 
-def extract_depth_of_one(cfg: CircuitConfig, value_fn: Callable[[EnvState], float]) -> int:
+def extract_depth_of_one(
+    cfg: CircuitConfig, value_fn: Callable[[EnvState], float], meter: CostMeter | None = None
+) -> int:
     """Bracket depth-of-one from value probes alone.
 
     After a free first-layer scan rules out the all-cold case, the circuit
@@ -317,7 +320,9 @@ def extract_depth_of_one(cfg: CircuitConfig, value_fn: Callable[[EnvState], floa
     state ``env_step`` reaches from the length's reset state.  The chain probe
     goes through ``env_step``; each circuit probe's t = 1 ``EnvState`` is built
     directly, on the circuit side, or done when the horizon is 1 (a one-gate
-    circuit at chain length 1), where the pick ends the episode.
+    circuit at chain length 1), where the pick ends the episode.  The probes
+    ask independent states, so they charge ``meter`` one round of that many
+    calls; the depth-zero scan charges nothing.
 
     With the exact ``optimal_value`` oracle the true depth-of-one d
     satisfies estimate <= d < 2 * estimate; if probes are scaled by noise
@@ -326,6 +331,7 @@ def extract_depth_of_one(cfg: CircuitConfig, value_fn: Callable[[EnvState], floa
     """
     if is_depth_zero(cfg):
         return 0
+    meter = meter if meter is not None else CostMeter()
     ids = logic_ids(cfg.circuit)
     n = len(ids)
     m = (n - 1).bit_length() if n > 1 else 0
@@ -340,6 +346,7 @@ def extract_depth_of_one(cfg: CircuitConfig, value_fn: Callable[[EnvState], floa
         probes = [value_fn(_new_state(EnvState, (cfg, chain_len, phase, chosen, 1, horizon))) for chosen in picks]
         if max(probes) >= v_chain:
             k_star = ell
+    meter.charge((n + 1) * (m + 1), 1)
     if k_star is None:
         return 1
     if k_star == m:
@@ -348,7 +355,12 @@ def extract_depth_of_one(cfg: CircuitConfig, value_fn: Callable[[EnvState], floa
 
 
 def bracket(estimate: int, d1: int, eps: float) -> tuple[bool, str]:
-    """Whether ``estimate`` meets ``extract_depth_of_one``'s bracket (strict at eps = 1) on ``d1``, and the check."""
+    """Whether ``estimate`` meets ``extract_depth_of_one``'s bracket (strict at eps = 1) on ``d1``, and the check.
+
+    ``eps`` outside (0, 1], the range ``NoisyOracle`` takes, raises ``ValueError``.
+    """
+    if not 0 < eps <= 1:
+        raise ValueError(f"eps {eps} outside (0, 1]")
     if estimate == 0:
         return d1 == 0, "estimate 0 expects depth-of-one 0"
     if eps == 1.0:

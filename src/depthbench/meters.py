@@ -17,7 +17,7 @@ class CostMeter:
     work: int = 0
     depth: int = 0
 
-    def charge(self, work: int, depth: int = 0) -> None:
+    def charge(self, work: int, depth: int) -> None:
         if work < 0 or depth < 0 or depth > work:
             raise ValueError(f"bad charge: work={work} depth={depth}")
         self.work += work

@@ -73,6 +73,10 @@ class TestMeter:
         with pytest.raises(ValueError):
             m.charge(1, 2)
 
+    def test_charge_names_both_counts(self):
+        with pytest.raises(TypeError):
+            CostMeter().charge(5)  # no default depth: every charge says how many rounds it took
+
 
 class TestGateValue:
     def test_and_or_not(self):

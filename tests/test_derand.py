@@ -23,6 +23,7 @@ from depthbench.derand import (
     union_bound_k,
     word_parity,
 )
+from depthbench.meters import CostMeter
 
 from oracles import simulated_bundle_errors
 
@@ -360,6 +361,25 @@ class TestUnionBoundK:
         with pytest.raises(ValueError, match="must satisfy 0 <= p < 1/2"):
             union_bound_k(8, 2, 0.5, p)
 
+    @pytest.mark.parametrize(
+        "n, vocab, message",
+        [
+            (-5, 2, "n must be an int >= 0"),
+            (2.5, 2, "n must be an int >= 0"),
+            ("3", 2, "n must be an int >= 0"),
+            (3, 0, "vocab_size must be an int >= 1"),
+            (3, -2, "vocab_size must be an int >= 1"),
+            (3, 2.0, "vocab_size must be an int >= 1"),
+        ],
+    )
+    def test_refuses_inputs_it_cannot_count(self, n, vocab, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            union_bound_k(n, vocab, 0.5, 0.3)
+
+    def test_empty_word_and_bools_are_counted(self):
+        assert union_bound_k(0, 2, 0.5, 0.3) == union_bound_k(0, 1, 0.5, 0.3) == 9  # one input: ln(1/delta_all) alone
+        assert union_bound_k(True, True, 0.5, 0.3) == union_bound_k(1, 1, 0.5, 0.3)
+
 
 def test_capacity_error_is_shared_with_automata():
     from depthbench import automata, derand, meters
@@ -460,11 +480,29 @@ class TestFindUniversalSeeds:
             def truth(self, word):
                 return word_parity(word)
 
-        result = find_universal_seeds(LyingDecider(), n=3, vocab_size=2, delta_all=0.5, rng_seed=0, max_attempts=4)
+        meter = CostMeter()
+        result = find_universal_seeds(
+            LyingDecider(), n=3, vocab_size=2, delta_all=0.5, rng_seed=0, max_attempts=4, meter=meter
+        )
         assert not result.success
         assert result.bundle is None
         assert result.attempts == 4
         assert result.per_attempt_errors == [8, 8, 8, 8]
+        assert (meter.work, meter.depth) == (4 * result.k * 2**3, 4)  # every failed attempt is one charged round
+
+    @pytest.mark.parametrize(
+        "n, vocab, max_attempts, name",
+        [
+            (2.0, 2, 32, "n"),
+            ("2", 2, 32, "n"),
+            (2, 2.0, 32, "vocab_size"),
+            (2, None, 32, "vocab_size"),
+            (2, 2, 2.0, "max_attempts"),
+        ],
+    )
+    def test_mistyped_arguments_refused(self, n, vocab, max_attempts, name):
+        with pytest.raises(ValueError, match=f"^{name} must be an int$"):
+            find_universal_seeds(SimulatedDecider(word_parity, 0.3), n, vocab, 0.5, 0, max_attempts)
 
     def test_ternary_vocabulary(self):
         d = SimulatedDecider(lambda w: int(sum(w) % 3 == 0), 0.2)
@@ -472,6 +510,40 @@ class TestFindUniversalSeeds:
         assert result.success
         for word in all_words(3, 3):
             assert majority_vote(d, result.bundle, word) == d.truth(word)
+
+
+class VoteCountingDecider(SimulatedDecider):
+    """A ``SimulatedDecider``'s decisions, asked vote by vote since it is a subclass; counts them."""
+
+    calls = 0
+
+    def decide(self, word, seed):
+        self.calls += 1
+        return super().decide(word, seed)
+
+
+class TestSearchMeter:
+    # p = 0.1, n = 2, vocab 2, rng_seed 1: k = 7 and the first bundle misses one input
+    @pytest.mark.parametrize("decider_cls", [SimulatedDecider, VoteCountingDecider])
+    @pytest.mark.parametrize("max_attempts, found", [(32, True), (1, False)])
+    def test_each_attempt_charges_one_round_of_the_model(self, decider_cls, max_attempts, found):
+        d = decider_cls(word_parity, 0.1)
+        meter = CostMeter()
+        result = find_universal_seeds(d, 2, 2, 0.5, 1, max_attempts, meter)
+        assert (result.success, result.k, result.per_attempt_errors) == (found, 7, [1, 0] if found else [1])
+        assert (meter.work, meter.depth) == (result.attempts * 7 * 2**2, result.attempts)
+        if decider_cls is VoteCountingDecider:
+            assert 0 < d.calls < meter.work  # votes stop at their majority; the meter counts k per input
+
+    @pytest.mark.parametrize(
+        "n, vocab, error",
+        [(30, 2, CapacityError), (1, 2**300, CapacityError), (0, 2, ValueError), (2, 2.0, ValueError)],
+    )
+    def test_refused_search_charges_nothing(self, n, vocab, error):
+        meter = CostMeter()
+        with pytest.raises(error):
+            find_universal_seeds(SimulatedDecider(word_parity, 0.1), n, vocab, 0.5, 0, meter=meter)
+        assert (meter.work, meter.depth) == (0, 0)
 
 
 def decide_digest():

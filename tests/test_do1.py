@@ -46,6 +46,7 @@ from depthbench.do1 import (
     rollout,
     validate_alternating,
 )
+from depthbench.meters import CostMeter
 from depthbench.netlist import parse_netlist
 
 from oracles import brute_force_value, legal_actions, memo_depths, recursive_eval
@@ -485,6 +486,11 @@ class TestExtraction:
         assert bracket(0, 0, 0.5) == (True, "estimate 0 expects depth-of-one 0")
         assert bracket(0, 2, 1.0) == (False, "estimate 0 expects depth-of-one 0")
 
+    @pytest.mark.parametrize("estimate, eps", [(4, 2.0), (4, 0.0), (4, -0.5), (0, 1.5), (4, float("nan"))])
+    def test_bracket_refuses_eps_outside_unit_interval(self, estimate, eps):
+        with pytest.raises(ValueError, match=r"outside \(0, 1\]$"):
+            bracket(estimate, 5, eps)
+
     def test_noisy_oracle_rejects_bad_epsilon(self):
         with pytest.raises(ValueError):
             NoisyOracle(optimal_value, 0.0)
@@ -708,6 +714,15 @@ class TestStructural:
         root = env_reset(cfg, chain_len)
         assert optimal_value(root) == brute_force_value(root) == max(d1, chain_len)
         assert rollout(cfg, chain_len, oracle_policy) == max(d1, chain_len)
+
+    @settings(max_examples=150, deadline=None)
+    @example(cfg=ITEM1_CONFIG)  # reaches the depth-zero return
+    @given(cfg=alt_configs())
+    def test_extraction_charges_one_round_of_its_probes(self, cfg):
+        counting = CountingOracle(optimal_value)
+        meter = CostMeter()
+        extract_depth_of_one(cfg, counting, meter)
+        assert (meter.work, meter.depth) == (counting.calls, 1 if counting.calls else 0)
 
     @settings(max_examples=100, deadline=None)
     @given(cfg=alt_configs(), chain_len=st.integers(1, 4))
