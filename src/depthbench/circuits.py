@@ -37,14 +37,29 @@ class GateKind(Enum):
 
 
 TERMINALS = frozenset({GateKind.INPUT, GateKind.CONST0, GateKind.CONST1})
+_FANIN = frozenset({GateKind.AND, GateKind.OR, GateKind.MAJORITY})  # the logic kinds of one or more feeds
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Gate:
-    """A gate's kind and the ids it reads; its own id is its position in ``Circuit.gates``."""
+    """A gate's kind and the ids it reads; its own id is its position in ``Circuit.gates``.
+
+    Slotted, so a gate is two pointers and no ``__dict__``; ``__init__``
+    stores both fields through the slots' own setters, a cheaper path than
+    the generated frozen ``__init__``'s ``object.__setattr__``.  A gate
+    checks nothing: ``Circuit`` refuses a kind that is not a ``GateKind``
+    and inputs that are not a tuple of int ids.
+    """
 
     kind: GateKind
     inputs: tuple[int, ...] = ()
+
+    def __init__(self, kind: GateKind, inputs: tuple[int, ...] = ()):
+        _set_kind(self, kind)
+        _set_inputs(self, inputs)
+
+
+_set_kind, _set_inputs = Gate.kind.__set__, Gate.inputs.__set__
 
 
 @dataclass(frozen=True)
@@ -112,15 +127,38 @@ def validate(c: Circuit) -> None:
 
     The two header checks run here; the per-gate checks and the cycle
     check run in ``gate_depths``, reached through ``c.depths``.  The first
-    fault wins in this order: no gates, output range, then gate by gate
-    input block, arity and references, then a cycle.
+    fault wins in this order: no gates, an output that is not an int or
+    out of range, then gate by gate: a kind that is not a ``GateKind``,
+    inputs that are not a tuple, the input block, arity, then the first
+    input id that is not an int or out of range; then a cycle.  A bool is
+    an int, so a bool id or output is accepted as 0 or 1.
     """
     n = len(c.gates)
     if n == 0:
         raise CircuitError("circuit has no gates")
+    if not isinstance(c.output, int):
+        raise CircuitError(f"output id {c.output!r} is not an int")
     if not 0 <= c.output < n:
         raise CircuitError(f"output id {c.output} out of range 0..{n - 1}")
     c.depths  # the per-gate checks, then cycles
+
+
+def _gate_fault(pos: int, g: Gate, n: int) -> str:
+    """The message for gate ``pos``, which passed its input block and arity checks or could not run them.
+
+    Tries the kind, then the inputs' type, then each input id in order.
+    """
+    kind, ins = g.kind, g.inputs
+    if type(kind) is not GateKind:
+        return f"gate {pos} kind {kind!r} is not a GateKind"
+    if type(ins) is not tuple:
+        return f"gate {pos} inputs must be a tuple, got {type(ins).__name__}"
+    for i in ins:
+        if not isinstance(i, int):
+            return f"gate {pos} input id {i!r} is not an int"
+        if not 0 <= i < n:
+            return f"gate {pos} references missing gate {i}"
+    raise AssertionError(f"gate {pos} has no fault")
 
 
 def gate_depths(c: Circuit) -> list[int]:
@@ -128,38 +166,48 @@ def gate_depths(c: Circuit) -> list[int]:
 
     One pass over the gates runs the per-gate checks of ``validate`` in id
     order and gives every gate whose feeds all have smaller, already known
-    depths 1 + max of them.  A gate with a forward reference, or one that
-    reads such a gate, waits until every gate has been checked; then an
-    iterative DFS from each waiting gate in id order finds the rest, so
-    kilogate chains do not hit the recursion limit, and a gray revisit
-    reports the cycle edge.
+    depths 1 + max of them.  A kind in no kind set, inputs that are not a
+    tuple, an id out of range and a ``TypeError`` from comparing or
+    indexing by an id all go to ``_gate_fault`` for their message.  A gate
+    with a forward reference, or one that reads such a gate, waits until
+    every gate has been checked; then an iterative DFS from each waiting
+    gate in id order finds the rest, so kilogate chains do not hit the
+    recursion limit, and a gray revisit reports the cycle edge.
     """
     gates, n_inputs = c.gates, c.n_inputs
     n = len(gates)
     depth = [0] * n  # n marks a waiting gate: a known depth is at most n - 1
     depth_of = depth.__getitem__
     waiting = []
-    for pos, g in enumerate(gates):
-        kind, ins = g.kind, g.inputs
-        if kind is _INPUT and pos >= n_inputs:
-            raise CircuitError(f"INPUT gate {pos} outside the leading input block")
-        if kind in TERMINALS:
-            if ins:
-                raise CircuitError(f"{kind.value} gate {pos} must have no inputs")
-            continue
-        if kind is _NOT:
-            if len(ins) != 1:
-                raise CircuitError(f"not gate {pos} needs exactly one input, got {len(ins)}")
-        elif not ins:
-            raise CircuitError(f"{kind.value} gate {pos} needs at least one input")
-        top = max(ins)
-        if min(ins) < 0 or top >= n:
-            raise CircuitError(f"gate {pos} references missing gate {next(i for i in ins if not 0 <= i < n)}")
-        if top < pos and (d := 1 + max(map(depth_of, ins))) < n:
-            depth[pos] = d
-        else:
-            depth[pos] = n
-            waiting.append(pos)
+    try:
+        for pos, g in enumerate(gates):
+            kind, ins = g.kind, g.inputs
+            if ins.__class__ is not tuple:
+                raise CircuitError(_gate_fault(pos, g, n))
+            if kind in TERMINALS:
+                if kind is _INPUT and pos >= n_inputs:
+                    raise CircuitError(f"INPUT gate {pos} outside the leading input block")
+                if ins:
+                    raise CircuitError(f"{kind.value} gate {pos} must have no inputs")
+                continue
+            if kind is _NOT:
+                if len(ins) != 1:
+                    raise CircuitError(f"not gate {pos} needs exactly one input, got {len(ins)}")
+            elif kind not in _FANIN:
+                raise CircuitError(_gate_fault(pos, g, n))
+            elif not ins:
+                raise CircuitError(f"{kind.value} gate {pos} needs at least one input")
+            top = max(ins)
+            if min(ins) < 0 or top >= n:
+                raise CircuitError(_gate_fault(pos, g, n))
+            d = 1 + max(map(depth_of, ins))  # list indexing refuses a float id that compared fine
+            if top < pos and d < n:
+                depth[pos] = d
+            else:
+                depth[pos] = n
+                waiting.append(pos)
+    except TypeError:  # an unhashable kind, or an id that is not an int
+        raise CircuitError(_gate_fault(pos, g, n)) from None
     if waiting:
         state = [2 if d < n else 0 for d in depth]  # 0 unvisited, 1 on stack, 2 finished
         for start in waiting:

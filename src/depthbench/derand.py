@@ -163,7 +163,14 @@ def union_bound_k(n: int, vocab_size: int, delta_all: float, p: float) -> int:
     _check_count("vocab_size", vocab_size, 1)
     if p == 0:
         return 1
-    target = n * math.log(vocab_size) - math.log(delta_all)
+    # ln(vocab^n) as a float: n * ln(vocab) can pass float range, but from n = 2^64 on k >= 2n ln 2 > 2^52 anyway
+    if vocab_size == 1:
+        log_inputs = 0.0
+    elif n < 1 << 64:
+        log_inputs = n * math.log(vocab_size)
+    else:
+        raise ValueError(f"{vocab_size}^n inputs with n >= 2^64 need more than 2^52 seeds")
+    target = log_inputs - math.log(delta_all)
     return _smallest_odd_k(p, target, math.exp(-target))
 
 

@@ -7,25 +7,32 @@ Format, one gate per line in id order, `#` starts a comment::
     <and|or|not|maj> <id> <input-id> [<input-id> ...]
     output <id>          # final line
 
-``format_netlist`` writes the canonical byte form; parsing it back and
-re-formatting reproduces the exact same bytes.  Id tokens are read with
-``int()``, so ``+1`` and ``1_000`` are ids too; a token ``int()`` refuses
-is reported as ``<what> '<token>' is not an integer`` on its line.
+``format_netlist`` writes the canonical byte form, every id in decimal
+(a bool id as ``0`` or ``1``); parsing it back and re-formatting
+reproduces the exact same bytes.  Id tokens are read with ``int()``, so
+``+1``, ``01`` and ``1_000`` are ids too; a token ``int()`` refuses is
+reported as ``<what> '<token>' is not an integer`` on its line.  Both
+directions work a gate at a time from small tables: the four logic
+tokens, and per kind the text around a line's id.
 """
 
 from __future__ import annotations
 
-from .circuits import TERMINALS, Circuit, CircuitError, Gate, GateKind, check_assignment
+from .circuits import Circuit, CircuitError, Gate, GateKind, check_assignment
 
-_KIND_TOKENS = {
+_LOGIC = {
     "and": GateKind.AND,
     "or": GateKind.OR,
     "not": GateKind.NOT,
     "maj": GateKind.MAJORITY,
 }
-_TOKEN_OF_KIND = {kind: tok for tok, kind in _KIND_TOKENS.items()}
-_OUTPUT, _CONST = object(), object()  # the two heads that name no single GateKind
-_HEADS = {"output": _OUTPUT, "input": GateKind.INPUT, "const": _CONST, **_KIND_TOKENS}
+# per kind, the text before and after the id on its line; a logic gate's input ids follow the tail
+_LINE_PARTS = {
+    GateKind.INPUT: ("input ", ""),
+    GateKind.CONST0: ("const ", " 0"),
+    GateKind.CONST1: ("const ", " 1"),
+    **{kind: (tok + " ", " ") for tok, kind in _LOGIC.items()},
+}
 
 
 class NetlistError(CircuitError):
@@ -44,45 +51,55 @@ def _parse_int(token: str, what: str, lineno: int) -> int:
 
 
 def parse_netlist(text: str) -> Circuit:
-    """Parse netlist text into a validated Circuit."""
+    """Parse netlist text into a validated Circuit.
+
+    One pass over the lines, logic lines tested first.  A gate id token
+    that is the expected id's canonical text is taken as it is; any other
+    goes through ``int()``, so ``+1``, ``01`` and ``1_000`` still parse.
+    Every input line shares one ``Gate(GateKind.INPUT)``.
+    """
+    lines = text.splitlines()
+    if "#" in text:
+        lines = [line.split("#", 1)[0] for line in lines]
     gates: list[Gate] = []
+    append = gates.append
+    input_gate = Gate(GateKind.INPUT)
     output: int | None = None
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        parts = (raw.split("#", 1)[0] if "#" in raw else raw).split()
+    for lineno, line in enumerate(lines, 1):
+        parts = line.split()
         if not parts:
             continue
         if output is not None:
             raise NetlistError("content after the output line", lineno)
         head = parts[0]
-        kind = _HEADS.get(head)
-        if kind is _OUTPUT:
+        kind = _LOGIC.get(head)
+        if kind is None and head == "output":
             if len(parts) != 2:
                 raise NetlistError("output line must be 'output <id>'", lineno)
             output = _parse_int(parts[1], "output id", lineno)
             continue
         if len(parts) < 2:
             raise NetlistError(f"gate line {head!r} is missing an id", lineno)
-        gid = _parse_int(parts[1], "gate id", lineno)
-        if gid != len(gates):
+        if parts[1] != str(len(gates)) and (gid := _parse_int(parts[1], "gate id", lineno)) != len(gates):
             raise NetlistError(f"gate id {gid} out of order, expected {len(gates)}", lineno)
-        if kind is GateKind.INPUT:
-            if len(parts) != 2:
-                raise NetlistError("input line must be 'input <id>'", lineno)
-            if gates and gates[-1].kind is not GateKind.INPUT:
-                raise NetlistError("input gates must come before all other gates", lineno)
-            gates.append(Gate(kind))
-        elif kind is _CONST:
-            if len(parts) != 3 or parts[2] not in ("0", "1"):
-                raise NetlistError("const line must be 'const <id> <0|1>'", lineno)
-            gates.append(Gate(GateKind.CONST1 if parts[2] == "1" else GateKind.CONST0))
-        elif kind is not None:
+        if kind is not None:
             if len(parts) == 2:
                 raise NetlistError(f"{head} gate needs at least one input id", lineno)
             try:
                 ids = tuple(map(int, parts[2:]))
             except ValueError:
                 ids = tuple(_parse_int(p, "input id", lineno) for p in parts[2:])
-            gates.append(Gate(kind, ids))
+            append(Gate(kind, ids))
+        elif head == "input":
+            if len(parts) != 2:
+                raise NetlistError("input line must be 'input <id>'", lineno)
+            if gates and gates[-1] is not input_gate:
+                raise NetlistError("input gates must come before all other gates", lineno)
+            append(input_gate)
+        elif head == "const":
+            if len(parts) != 3 or parts[2] not in ("0", "1"):
+                raise NetlistError("const line must be 'const <id> <0|1>'", lineno)
+            append(Gate(GateKind.CONST1 if parts[2] == "1" else GateKind.CONST0))
         else:
             raise NetlistError(f"unknown gate kind {head!r}", lineno)
     if output is None:
@@ -94,17 +111,19 @@ def parse_netlist(text: str) -> Circuit:
 
 
 def format_netlist(c: Circuit) -> str:
-    """Canonical netlist text for ``c`` (newline-terminated)."""
+    """Canonical netlist text for ``c`` (newline-terminated).
+
+    Each line is its kind's head, the gate's id and its kind's tail, then
+    for a logic gate its input ids.  Every id is written through one table
+    of the id strings, so a bool id is written as ``0`` or ``1``.
+    """
+    ids = list(map(str, range(len(c.gates))))
+    id_text = ids.__getitem__
     lines = []
-    for gid, g in enumerate(c.gates):
-        kind = g.kind
-        if kind is GateKind.INPUT:
-            lines.append(f"input {gid}")
-        elif kind in TERMINALS:
-            lines.append(f"const {gid} {1 if kind is GateKind.CONST1 else 0}")
-        else:
-            lines.append(f"{_TOKEN_OF_KIND[kind]} {gid} {' '.join(map(str, g.inputs))}")
-    lines.append(f"output {c.output}")
+    for gid, g in zip(ids, c.gates):
+        head, tail = _LINE_PARTS[g.kind]
+        lines.append(head + gid + tail + " ".join(map(id_text, g.inputs)))
+    lines.append(f"output {ids[c.output]}")
     return "\n".join(lines) + "\n"
 
 

@@ -52,18 +52,26 @@ def is_well_formed(gates, output: int) -> bool:
 def first_fault(gates, output: int) -> str | None:
     """The ``CircuitError`` message ``Circuit(gates, output)`` should raise, or None if well formed.
 
-    Rules are tried in the documented order: the two header checks, then
-    gate by gate in position order (input block, arity, references),
-    and a cycle last.  A cycle returns just the ``"cycle detected via edge"``
-    prefix, since which edge is reported depends on the search order.
+    Rules are tried in the documented order: the two header checks (the
+    output's type, then its range), then gate by gate in position order
+    (kind type, inputs type, input block, arity, then each id's type and
+    range), and a cycle last.  A cycle returns just the ``"cycle detected
+    via edge"`` prefix, since which edge is reported depends on the search
+    order.
     """
     n = len(gates)
     if n == 0:
         return "circuit has no gates"
+    if not isinstance(output, int):
+        return f"output id {output!r} is not an int"
     if output not in range(n):
         return f"output id {output} out of range 0..{n - 1}"
     terminals = (GateKind.INPUT, GateKind.CONST0, GateKind.CONST1)
     for pos, g in enumerate(gates):
+        if not any(g.kind is kind for kind in GateKind):
+            return f"gate {pos} kind {g.kind!r} is not a GateKind"
+        if type(g.inputs) is not tuple:
+            return f"gate {pos} inputs must be a tuple, got {type(g.inputs).__name__}"
         name = g.kind.value
         if g.kind is GateKind.INPUT and any(h.kind is not GateKind.INPUT for h in gates[:pos]):
             return f"INPUT gate {pos} outside the leading input block"
@@ -73,9 +81,11 @@ def first_fault(gates, output: int) -> str | None:
             return f"not gate {pos} needs exactly one input, got {len(g.inputs)}"
         if g.kind not in terminals and len(g.inputs) == 0:
             return f"{name} gate {pos} needs at least one input"
-        missing = [i for i in g.inputs if i not in range(n)]
-        if missing:
-            return f"gate {pos} references missing gate {missing[0]}"
+        for i in g.inputs:
+            if not isinstance(i, int):
+                return f"gate {pos} input id {i!r} is not an int"
+            if i not in range(n):
+                return f"gate {pos} references missing gate {i}"
     if not is_well_formed(gates, output):
         return "cycle detected via edge"
     return None

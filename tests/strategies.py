@@ -23,6 +23,9 @@ PERMS = tuple(itertools.permutations(range(5)))
 
 # each corruption may or may not break the circuit; the oracle decides which
 CORRUPTIONS = ("kind", "arity", "out_of_range", "extra_edge", "output")
+# where wrong_typed puts a value of the wrong type, and the wrong types it draws
+TYPE_SLOTS = ("kind", "inputs", "id", "output")
+WRONG_TYPES = ("float", "str", "bool", "None", "list", "nested tuple")
 
 
 @st.composite
@@ -72,6 +75,49 @@ def gate_lists(draw):
         gates[pos] = Gate(g.kind, g.inputs + (draw(st.sampled_from(order[rank[pos] :])),))
     elif corruption == "output":
         output = draw(st.integers(-2, n + 2))
+    return tuple(gates), output
+
+
+def wrong_type(type_name: str, value):
+    """``value`` (an int, a kind or a tuple of ids) recast as one of ``WRONG_TYPES``."""
+    if type_name == "float":
+        return float(value) if isinstance(value, int) else 0.5
+    if type_name == "str":
+        return str(value.value if isinstance(value, GateKind) else value)
+    if type_name == "bool":
+        return bool(value) if isinstance(value, int) else True
+    if type_name == "None":
+        return None
+    if type_name == "list":
+        return list(value) if isinstance(value, tuple) else [value]
+    return (value,)
+
+
+@st.composite
+def wrong_typed_gate_lists(draw):
+    """``(gates, output)`` from ``gate_lists`` with one slot given a value of a wrong type.
+
+    The slot is a gate's kind, its inputs, one of its input ids, or the
+    output; ``wrong_type`` keeps what it can of the value it replaces, so a
+    str kind reads ``"and"``, a list of inputs holds the same ids and a bool
+    id may name the same gate.
+    """
+    gates, output = draw(gate_lists())
+    gates = list(gates)
+    slot, type_name = draw(st.sampled_from(TYPE_SLOTS)), draw(st.sampled_from(WRONG_TYPES))
+    pos = draw(st.integers(0, len(gates) - 1))
+    g = gates[pos]
+    if slot == "output":
+        output = wrong_type(type_name, output)
+    elif slot == "kind":
+        gates[pos] = Gate(wrong_type(type_name, g.kind), g.inputs)
+    elif slot == "inputs":
+        gates[pos] = Gate(g.kind, wrong_type(type_name, g.inputs))
+    else:
+        ins = list(g.inputs) or [0]
+        j = draw(st.integers(0, len(ins) - 1))
+        ins[j] = wrong_type(type_name, ins[j])
+        gates[pos] = Gate(g.kind, tuple(ins))
     return tuple(gates), output
 
 

@@ -1,5 +1,6 @@
 """Circuit model, layering, serial/layered evaluation, random generation."""
 
+import dataclasses
 import itertools
 import random
 
@@ -35,7 +36,7 @@ from oracles import (
     reaches,
     recursive_eval,
 )
-from strategies import LOGIC_KINDS, gate_lists
+from strategies import LOGIC_KINDS, gate_lists, wrong_typed_gate_lists
 
 
 def chain3():
@@ -104,6 +105,26 @@ class TestGateKind:
             assert hash(k) == object.__hash__(k)
             assert GateKind(k.value) is k and {k: k.value}[GateKind(k.value)] == k.value
             assert (k in TERMINALS) == (k.value in ("input", "const0", "const1"))
+
+
+class TestGate:
+    def test_value_semantics(self):
+        g = Gate(GateKind.AND, (0, 1))
+        assert g == Gate(GateKind.AND, (0, 1)) and hash(g) == hash(Gate(GateKind.AND, (0, 1)))
+        assert g != Gate(GateKind.OR, (0, 1)) and g != Gate(GateKind.AND, (1, 0))
+        assert repr(g) == "Gate(kind=<GateKind.AND: 'and'>, inputs=(0, 1))"
+        assert Gate(GateKind.INPUT) == Gate(GateKind.INPUT, ()) == Gate(kind=GateKind.INPUT, inputs=())
+        assert dataclasses.fields(Gate)[1].default == ()
+
+    def test_frozen_and_slotted(self):
+        g = Gate(GateKind.NOT, (0,))
+        for name, value in (("kind", GateKind.AND), ("inputs", (1,))):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(g, name, value)
+        with pytest.raises((AttributeError, TypeError)):  # which one depends on the Python: slots reject it either way
+            g.extra = 1
+        assert not hasattr(g, "__dict__") and Gate.__slots__ == ("kind", "inputs")
+        assert g == Gate(GateKind.NOT, (0,))
 
 
 class TestLayering:
@@ -313,6 +334,57 @@ class TestConstruction:
         u, arrow, v = message.removeprefix("cycle detected via edge ").split(" ")
         u, v = int(u), int(v)
         assert arrow == "->" and v in gates[u].inputs and reaches(gates, v, u)
+
+
+class TestWrongTypes:
+    @settings(max_examples=300, deadline=None)
+    @given(parts=wrong_typed_gate_lists())
+    def test_refused_with_the_first_fault_or_round_trips(self, parts):
+        gates, output = parts
+        expected = first_fault(gates, output)
+        if expected is None:  # only a bool is accepted, as the int it is
+            c = Circuit(gates, output)
+            text = format_netlist(c)
+            assert parse_netlist(text) == c and format_netlist(parse_netlist(text)) == text
+            assert hash(c) == hash(parse_netlist(text))
+            return
+        with pytest.raises(CircuitError) as info:
+            Circuit(gates, output)
+        message = str(info.value)
+        assert message.startswith("cycle detected via edge") if expected == "cycle detected via edge" else message == expected
+
+    CASES = {
+        "str-kind": (((Gate(GateKind.INPUT), Gate("and", (0,))), 1), "gate 1 kind 'and' is not a GateKind"),
+        "list-inputs": (((Gate(GateKind.INPUT), Gate(GateKind.AND, [0])), 1), "gate 1 inputs must be a tuple, got list"),
+        "float-id": (((Gate(GateKind.INPUT), Gate(GateKind.AND, (0, 0.0))), 1), "gate 1 input id 0.0 is not an int"),
+        "float-forward-id": (
+            ((Gate(GateKind.INPUT), Gate(GateKind.AND, (2.0,)), Gate(GateKind.NOT, (0,))), 1),
+            "gate 1 input id 2.0 is not an int",
+        ),
+        "float-output": (((Gate(GateKind.INPUT), Gate(GateKind.NOT, (0,))), 1.0), "output id 1.0 is not an int"),
+        "type-before-a-later-arity-fault": (
+            ((Gate(GateKind.INPUT), Gate(GateKind.OR, ("0",)), Gate(GateKind.NOT, ())), 1),
+            "gate 1 input id '0' is not an int",
+        ),
+        "arity-before-a-later-type-fault": (
+            ((Gate(GateKind.INPUT), Gate(GateKind.NOT, ()), Gate(None, (0,))), 1),
+            "not gate 1 needs exactly one input, got 0",
+        ),
+        "kind-before-inputs": (((Gate(GateKind.INPUT), Gate([], None)), 1), "gate 1 kind [] is not a GateKind"),
+        "first-bad-id-wins": (((Gate(GateKind.INPUT), Gate(GateKind.OR, (9, None))), 1), "gate 1 references missing gate 9"),
+    }
+
+    @pytest.mark.parametrize("name", CASES)
+    def test_message(self, name):
+        args, message = self.CASES[name]
+        with pytest.raises(CircuitError) as info:
+            Circuit(*args)
+        assert str(info.value) == message == first_fault(*args)
+
+    def test_bool_ids_and_output_are_written_as_0_and_1(self):
+        c = Circuit((Gate(GateKind.INPUT), Gate(GateKind.INPUT), Gate(GateKind.AND, (False, True))), True)
+        assert format_netlist(c) == "input 0\ninput 1\nand 2 0 1\noutput 1\n"
+        assert parse_netlist(format_netlist(c)) == c and cvp(c, (1, 1)) == 1
 
 
 class TestEval:

@@ -356,6 +356,15 @@ class TestUnionBoundK:
         with pytest.raises(ValueError, match=r"^p=0.49999999 with delta=0.125\d* needs about \d+ seeds, more than 2\^52$"):
             union_bound_k(2, 2, 0.5, 0.49999999)
 
+    @pytest.mark.parametrize("n", [10**300, 1 << 64, 10**400])
+    def test_huge_input_space_refused(self, n):
+        # n * ln 2 leaves float range near n = 10^308; the bound refuses all of these the same way
+        with pytest.raises(ValueError, match=r"more than 2\^52"):
+            union_bound_k(n, 2, 0.5, 0.3)
+
+    def test_one_token_vocab_has_one_input_at_any_length(self):
+        assert union_bound_k(10**400, 1, 0.5, 0.3) == union_bound_k(0, 1, 0.5, 0.3) == 9
+
     @pytest.mark.parametrize("p", [0.5, 0.7])
     def test_p_at_or_above_half_rejected(self, p):
         with pytest.raises(ValueError, match="must satisfy 0 <= p < 1/2"):
