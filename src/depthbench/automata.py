@@ -14,8 +14,9 @@ only on its width-(2k+1) light cone of real cells, so one lookup
 reproduces k plain steps exactly; the k cells nearest each end instead
 come from one direct evolution of the two end strips side by side, because
 a position-independent window table cannot express the pinned-zero edge.
-Plain and compiled rows share one window lookup: a plain row reads the rule
-table over the tape padded with a 0 at each end, a compiled row the k-row one.
+Plain rows and table builds share one bitwise row rule, ``_rule_row``: a
+plain row applies it to the tape packed into one int, a table build to the
+window planes; a compiled row reads the k-row table at each full window.
 """
 
 from __future__ import annotations
@@ -51,20 +52,25 @@ def rule_table(rule: int) -> tuple[int, ...]:
     return _RULE_TABLES[rule]
 
 
-def _check_tape(cells: Sequence[int]) -> None:
-    """Raise ``ValueError`` unless the tape is non-empty and every cell is the int 0 or 1 (bools included)."""
+_BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")  # a binary string to cells
+_BYTE_DIGITS = bytes.maketrans(b"\x00\x01", b"01")  # cells to a binary string
+
+
+def _check_tape(cells: Sequence[int]) -> bytes:
+    """The tape as one byte per cell; ``ValueError`` unless non-empty with each cell the int 0 or 1 (bools too)."""
     if len(cells) == 0:
         raise ValueError("tape must be non-empty")
     try:
-        if not bytes(cells).translate(None, b"\x00\x01"):
-            return
+        tape = bytes(cells)
+        if not tape.translate(None, b"\x00\x01"):
+            return tape
     except (TypeError, ValueError):  # a float, a str or an int outside 0..255
         pass
     raise ValueError("tape cells must be 0 or 1")
 
 
 def _lookups(tape: Sequence[int], table: Sequence[int], k: int) -> tuple[int, ...]:
-    """``table`` read at every full (2k+1)-cell window of ``tape``, left to right, MSB first."""
+    """``table`` read at every full (2k+1)-cell window of ``tape``, left to right, MSB first: a compiled interior."""
     mask = (1 << (2 * k + 1)) - 1
     code = 0
     for c in tape[: 2 * k]:
@@ -77,12 +83,22 @@ def _lookups(tape: Sequence[int], table: Sequence[int], k: int) -> tuple[int, ..
 
 
 def step(cells: Sequence[int], rule: int, meter: CostMeter | None = None) -> tuple[int, ...]:
-    """One synchronous row: every cell updates from its 3-cell neighborhood."""
-    _check_tape(cells)
-    table = rule_table(rule)
+    """One synchronous row: every cell updates from its 3-cell neighborhood.
+
+    The row runs as bit planes: the tape is one int x with cell 0 as its
+    top bit, so the left, center and right neighbours of every cell are
+    ``x >> 1``, ``x`` and ``x << 1`` cut to the width, with a 0 beyond each
+    end, and ``_rule_row`` applies the rule to all cells at once.
+    """
+    tape = _check_tape(cells)
+    rule_table(rule)
     meter = meter if meter is not None else CostMeter()
-    meter.charge(len(cells), 1)
-    return _lookups((0, *cells, 0), table, 1)
+    w = len(tape)
+    meter.charge(w, 1)
+    ones = (1 << w) - 1
+    x = int(tape.translate(_BYTE_DIGITS), 2)
+    y = _rule_row(rule, x >> 1, x, (x << 1) & ones, ones)
+    return tuple(format(y, "b").zfill(w).encode().translate(_BIT_BYTES))
 
 
 def plain_rounds(
@@ -144,12 +160,19 @@ def _check_table_budget(k: int) -> None:
     raise CapacityError(f"{entries} table entries exceeds budget {TABLE_BUDGET}")
 
 
-_BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
-
-
 def _mux(s: int, a: int, b: int) -> int:
     """Bitwise ``a if s else b``, without negating ``s``."""
     return a if a is b else b ^ (s & (a ^ b))
+
+
+def _rule_row(rule: int, l: int, c: int, r: int, ones: int) -> int:
+    """``rule`` applied bitwise to the left, center and right planes of one row, each masked to ``ones``.
+
+    For each (l, c) the rule yields 0, not-r, r or 1 (bits 0 and 1 of
+    ``rule >> (4*l + 2*c)``): two muxes on c and one on l pick among them.
+    """
+    g = (0, r ^ ones, r, ones)
+    return _mux(l, _mux(c, g[(rule >> 6) & 3], g[(rule >> 4) & 3]), _mux(c, g[(rule >> 2) & 3], g[rule & 3]))
 
 
 def compile_steps(rule: int, k: int) -> tuple[int, ...]:
@@ -185,13 +208,10 @@ def compile_steps(rule: int, k: int) -> tuple[int, ...]:
             plane |= plane << period
             period *= 2
         planes.append(plane)
-    # for each (l, c), bit 0 is the rule at (l, c, 0) and bit 1 at (l, c, 1): 0, not-r, r or 1
-    p00, p01, p10, p11 = ((rule >> (4 * l + 2 * c)) & 3 for l in (0, 1) for c in (0, 1))
     for _ in range(k):
         for i in range(len(planes) - 2):  # left to right, so planes i+1 and i+2 are still the old row
             l, c, r = planes[i : i + 3]
-            g = (0, r ^ ones, r, ones)
-            planes[i] = _mux(l, _mux(c, g[p11], g[p10]), _mux(c, g[p01], g[p00]))
+            planes[i] = _rule_row(rule, l, c, r, ones)
         del planes[-2:]
     bits = format(planes.pop(), f"0{size}b")[::-1].encode().translate(_BIT_BYTES)
     return tuple(bits)

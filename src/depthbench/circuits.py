@@ -80,8 +80,9 @@ class Circuit:
 
     @cached_property
     def n_inputs(self) -> int:
-        """The length of the leading block of INPUT gates."""
-        return next((gid for gid, g in enumerate(self.gates) if g.kind is not _INPUT), len(self.gates))
+        """The length of the leading block of INPUT gates; an entry with no ``kind`` ends it (and is refused)."""
+        gates = self.gates
+        return next((gid for gid, g in enumerate(gates) if getattr(g, "kind", None) is not _INPUT), len(gates))
 
     @cached_property
     def depths(self) -> tuple[int, ...]:
@@ -125,17 +126,20 @@ def gate_value(kind: GateKind, in_vals: Sequence[int]) -> int:
 def validate(c: Circuit) -> None:
     """Raise CircuitError unless ``c`` satisfies every structural invariant; ``Circuit`` runs it when built.
 
-    The two header checks run here; the per-gate checks and the cycle
-    check run in ``gate_depths``, reached through ``c.depths``.  The first
-    fault wins in this order: no gates, an output that is not an int or
-    out of range, then gate by gate: a kind that is not a ``GateKind``,
-    inputs that are not a tuple, the input block, arity, then the first
-    input id that is not an int or out of range; then a cycle.  A bool is
-    an int, so a bool id or output is accepted as 0 or 1.
+    The header checks run here; the per-gate checks and the cycle check
+    run in ``gate_depths``, reached through ``c.depths``.  The first fault
+    wins in this order: no gates, gates that are not a tuple, an output
+    that is not an int or out of range, then gate by gate: an entry with
+    no ``kind`` or ``inputs`` (no ``Gate``), a kind that is not a
+    ``GateKind``, inputs that are not a tuple, the input block, arity, then
+    the first input id that is not an int or out of range; then a cycle.
+    A bool is an int, so a bool id or output is accepted as 0 or 1.
     """
     n = len(c.gates)
     if n == 0:
         raise CircuitError("circuit has no gates")
+    if type(c.gates) is not tuple:
+        raise CircuitError(f"gates must be a tuple, got {type(c.gates).__name__}")
     if not isinstance(c.output, int):
         raise CircuitError(f"output id {c.output!r} is not an int")
     if not 0 <= c.output < n:
@@ -146,9 +150,12 @@ def validate(c: Circuit) -> None:
 def _gate_fault(pos: int, g: Gate, n: int) -> str:
     """The message for gate ``pos``, which passed its input block and arity checks or could not run them.
 
-    Tries the kind, then the inputs' type, then each input id in order.
+    Tries the entry's fields, then the kind, then the inputs' type, then each input id in order.
     """
-    kind, ins = g.kind, g.inputs
+    try:
+        kind, ins = g.kind, g.inputs
+    except AttributeError:
+        return f"gate {pos} {g!r} is not a Gate"
     if type(kind) is not GateKind:
         return f"gate {pos} kind {kind!r} is not a GateKind"
     if type(ins) is not tuple:
@@ -167,8 +174,9 @@ def gate_depths(c: Circuit) -> list[int]:
     One pass over the gates runs the per-gate checks of ``validate`` in id
     order and gives every gate whose feeds all have smaller, already known
     depths 1 + max of them.  A kind in no kind set, inputs that are not a
-    tuple, an id out of range and a ``TypeError`` from comparing or
-    indexing by an id all go to ``_gate_fault`` for their message.  A gate
+    tuple, an id out of range, a ``TypeError`` from comparing or indexing
+    by an id and an ``AttributeError`` from an entry with no ``kind`` or
+    ``inputs`` all go to ``_gate_fault`` for their message.  A gate
     with a forward reference, or one that reads such a gate, waits until
     every gate has been checked; then an iterative DFS from each waiting
     gate in id order finds the rest, so kilogate chains do not hit the
@@ -206,7 +214,7 @@ def gate_depths(c: Circuit) -> list[int]:
             else:
                 depth[pos] = n
                 waiting.append(pos)
-    except TypeError:  # an unhashable kind, or an id that is not an int
+    except (TypeError, AttributeError):  # an unhashable kind, an id that is not an int, or an entry with no fields
         raise CircuitError(_gate_fault(pos, g, n)) from None
     if waiting:
         state = [2 if d < n else 0 for d in depth]  # 0 unvisited, 1 on stack, 2 finished
@@ -278,14 +286,14 @@ def _eval_layers(c: Circuit, bits: Sequence[int], meter: CostMeter | None, seria
         for gid in layer:
             g = gates[gid]
             kind, ins = g.kind, g.inputs
-            if kind is _AND:  # AND, OR and NOT inline; gate_value is their reference definition
+            if kind is _AND:  # every kind inline, with no list per gate; gate_value is the reference definition
                 vals[gid] = 0 if 0 in map(get, ins) else 1
             elif kind is _OR:
                 vals[gid] = 1 if 1 in map(get, ins) else 0
             elif kind is _NOT:
                 vals[gid] = 1 - vals[ins[0]]
-            else:
-                vals[gid] = gate_value(kind, [vals[i] for i in ins])
+            else:  # MAJORITY, strict: ties go to 0
+                vals[gid] = 1 if 2 * sum(map(get, ins)) > len(ins) else 0
         meter.charge(len(layer), len(layer) if serial else 1)
     return tuple(vals)  # type: ignore[arg-type]
 

@@ -3,9 +3,11 @@
 A permutation is a tuple of images, ``p[i]`` being where point ``i`` goes;
 ``compose(a, b)`` is "apply b, then a".  Folding an n-term word costs n-1
 compositions either way, but the balanced tree finishes in ceil(log2 n)
-rounds while the left-to-right fold needs n-1.  The wire format is one
-5-digit image string per line, e.g. ``10234`` for the transposition of
-0 and 1.  ``random_word`` makes the ``getrandbits`` draws of
+rounds while the left-to-right fold needs n-1.  ``fold_tree`` walks that
+tree in aligned blocks of 256 letters, so it keeps O(256 + n/256) entries
+alive rather than a whole level, with the same tree and rounds.  The wire
+format is one 5-digit image string per line, e.g. ``10234`` for the
+transposition of 0 and 1.  ``random_word`` makes the ``getrandbits`` draws of
 ``Random.sample(range(5), 5)`` per letter and turns them into one index
 into ``_LETTERS``, the 120 permutations built once at import, so the
 letters of every drawn word are shared tuples.
@@ -60,25 +62,49 @@ def fold_serial(word: Sequence[Perm], meter: CostMeter | None = None) -> Perm:
     return acc
 
 
-def fold_tree(word: Sequence[Perm], meter: CostMeter | None = None) -> Perm:
-    """Balanced pairwise product: n-1 compositions in ceil(log2 n) rounds.
+_BLOCK = 256  # letters per aligned block in fold_tree; a power of two
 
-    Each level composes adjacent pairs at once (one depth unit), carrying a
-    trailing odd element unchanged, so grouping — not order — changes and
-    associativity keeps the product equal to the serial fold.
-    """
-    if not word:
-        raise ValueError("word must be non-empty")
-    meter = meter if meter is not None else CostMeter()
-    level = word
+
+def _fold_levels(level: Sequence[Perm]) -> Perm:
+    """The balanced tree's level loop: compose adjacent pairs, carry a trailing odd node, until one is left."""
     while len(level) > 1:
         it = iter(level)  # zip(it, it) pairs neighbours without slicing a copy
         nxt = [(a[b0], a[b1], a[b2], a[b3], a[b4]) for a, (b0, b1, b2, b3, b4) in zip(it, it)]
         if len(level) % 2:
             nxt.append(level[-1])
-        meter.charge(len(level) // 2, 1)
         level = nxt
     return level[0]
+
+
+def fold_tree(word: Sequence[Perm], meter: CostMeter | None = None) -> Perm:
+    """Balanced pairwise product: n-1 compositions in ceil(log2 n) rounds.
+
+    Each level composes adjacent pairs at once (one depth unit), carrying a
+    trailing odd element unchanged, so grouping — not order — changes and
+    associativity keeps the product equal to the serial fold.  Node i of
+    level l is the product of letters [i*2^l, min((i+1)*2^l, n)), so an
+    aligned block of ``_BLOCK`` = 2^8 letters reduces to exactly its
+    level-8 node.  One thread therefore walks the tree block by block: it
+    folds each block through the level loop, then folds the block products
+    the same way while more than one block is left.  The compositions,
+    their operands and their rounds are those of the level-by-level walk,
+    but at most O(256 + n/256) entries are alive at once, never a whole
+    level.  The meter gets each level's charge in closed form, floor(m/2)
+    work in one round for m = n, ceil(n/2), ..., 2, once the product is
+    known.
+    """
+    if not word:
+        raise ValueError("word must be non-empty")
+    meter = meter if meter is not None else CostMeter()
+    level = word
+    while len(level) > _BLOCK:
+        level = [_fold_levels(level[i : i + _BLOCK]) for i in range(0, len(level), _BLOCK)]
+    product = _fold_levels(level)
+    m = len(word)
+    while m > 1:
+        meter.charge(m // 2, 1)
+        m -= m // 2
+    return product
 
 
 def all_perms() -> list[Perm]:

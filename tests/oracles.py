@@ -27,7 +27,7 @@ def is_well_formed(gates, output: int) -> bool:
     inputs have all been dropped, and accept only if nothing is left.
     """
     n = len(gates)
-    if n == 0 or output not in range(n):
+    if n == 0 or type(gates) is not tuple or output not in range(n):
         return False
     is_input = [g.kind is GateKind.INPUT for g in gates]
     if is_input != sorted(is_input, reverse=True):  # a non-INPUT gate before an INPUT gate
@@ -52,22 +52,27 @@ def is_well_formed(gates, output: int) -> bool:
 def first_fault(gates, output: int) -> str | None:
     """The ``CircuitError`` message ``Circuit(gates, output)`` should raise, or None if well formed.
 
-    Rules are tried in the documented order: the two header checks (the
-    output's type, then its range), then gate by gate in position order
-    (kind type, inputs type, input block, arity, then each id's type and
-    range), and a cycle last.  A cycle returns just the ``"cycle detected
+    Rules are tried in the documented order: the header checks (no gates,
+    a gates container that is not a tuple, the output's type, then its
+    range), then gate by gate in position order (an entry with no kind or
+    inputs, kind type, inputs type, input block, arity, then each id's type
+    and range), and a cycle last.  A cycle returns just the ``"cycle detected
     via edge"`` prefix, since which edge is reported depends on the search
     order.
     """
     n = len(gates)
     if n == 0:
         return "circuit has no gates"
+    if type(gates) is not tuple:
+        return f"gates must be a tuple, got {type(gates).__name__}"
     if not isinstance(output, int):
         return f"output id {output!r} is not an int"
     if output not in range(n):
         return f"output id {output} out of range 0..{n - 1}"
     terminals = (GateKind.INPUT, GateKind.CONST0, GateKind.CONST1)
     for pos, g in enumerate(gates):
+        if not (hasattr(g, "kind") and hasattr(g, "inputs")):
+            return f"gate {pos} {g!r} is not a Gate"
         if not any(g.kind is kind for kind in GateKind):
             return f"gate {pos} kind {g.kind!r} is not a GateKind"
         if type(g.inputs) is not tuple:

@@ -24,7 +24,7 @@ PERMS = tuple(itertools.permutations(range(5)))
 # each corruption may or may not break the circuit; the oracle decides which
 CORRUPTIONS = ("kind", "arity", "out_of_range", "extra_edge", "output")
 # where wrong_typed puts a value of the wrong type, and the wrong types it draws
-TYPE_SLOTS = ("kind", "inputs", "id", "output")
+TYPE_SLOTS = ("kind", "inputs", "id", "output", "entry")
 WRONG_TYPES = ("float", "str", "bool", "None", "list", "nested tuple")
 
 
@@ -97,10 +97,11 @@ def wrong_type(type_name: str, value):
 def wrong_typed_gate_lists(draw):
     """``(gates, output)`` from ``gate_lists`` with one slot given a value of a wrong type.
 
-    The slot is a gate's kind, its inputs, one of its input ids, or the
-    output; ``wrong_type`` keeps what it can of the value it replaces, so a
-    str kind reads ``"and"``, a list of inputs holds the same ids and a bool
-    id may name the same gate.
+    The slot is a gate's kind, its inputs, one of its input ids, the
+    output, or a whole gate, recast from its ``(kind, inputs)`` pair;
+    ``wrong_type`` keeps what it can of the value it replaces, so a str kind
+    reads ``"and"``, a list of inputs holds the same ids and a bool id may
+    name the same gate.
     """
     gates, output = draw(gate_lists())
     gates = list(gates)
@@ -113,6 +114,8 @@ def wrong_typed_gate_lists(draw):
         gates[pos] = Gate(wrong_type(type_name, g.kind), g.inputs)
     elif slot == "inputs":
         gates[pos] = Gate(g.kind, wrong_type(type_name, g.inputs))
+    elif slot == "entry":
+        gates[pos] = wrong_type(type_name, (g.kind, g.inputs))
     else:
         ins = list(g.inputs) or [0]
         j = draw(st.integers(0, len(ins) - 1))

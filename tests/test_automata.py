@@ -44,6 +44,21 @@ def test_zero_boundary_is_zero_padded():
     assert step((0, 0, 1), 2) == (0, 1, 0)  # rule 2 fires only on (0,0,1)
 
 
+def test_step_matches_the_oracle_for_every_rule():
+    """The bit-plane row against explicit neighbour indexing: widths 1-70 and 1,024, list and bool tapes."""
+    rng = random.Random(7)
+    tapes = [[rng.getrandbits(1) for _ in range(width)] for width in [*range(1, 71), 1024]]
+    for rule in range(256):
+        for tape in tapes:
+            expected = naive_evolve(tape, rule, 1)
+            assert step(tape, rule) == expected, (rule, len(tape))
+            assert step([bool(c) for c in tape], rule) == expected, (rule, len(tape))
+    meter = CostMeter()
+    row = step(tapes[-1], 30, meter)
+    assert type(row) is tuple and {type(c) for c in row} == {int}
+    assert (meter.work, meter.depth) == (1024, 1)
+
+
 def test_rule_table_bits():
     assert rule_table(110) == (0, 1, 1, 1, 0, 1, 1, 0)
     with pytest.raises(ValueError):

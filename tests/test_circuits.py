@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import random
+import types
 
 import pytest
 from hypothesis import find, given, settings, strategies as st
@@ -372,6 +373,23 @@ class TestWrongTypes:
         ),
         "kind-before-inputs": (((Gate(GateKind.INPUT), Gate([], None)), 1), "gate 1 kind [] is not a GateKind"),
         "first-bad-id-wins": (((Gate(GateKind.INPUT), Gate(GateKind.OR, (9, None))), 1), "gate 1 references missing gate 9"),
+        "empty-list": (([], 0), "circuit has no gates"),
+        "list-of-gates": (([Gate(GateKind.INPUT)], 0), "gates must be a tuple, got list"),
+        "container-before-output": (([Gate(GateKind.INPUT)], 1.0), "gates must be a tuple, got list"),
+        "output-before-entries": (((Gate(GateKind.INPUT), "x"), 5), "output id 5 out of range 0..1"),
+        "pair-entry": (
+            ((Gate(GateKind.INPUT), (GateKind.NOT, (0,))), 1),
+            "gate 1 (<GateKind.NOT: 'not'>, (0,)) is not a Gate",
+        ),
+        "str-entry-first": ((("x", Gate(GateKind.INPUT)), 0), "gate 0 'x' is not a Gate"),
+        "entry-before-a-later-arity-fault": (
+            ((Gate(GateKind.INPUT), "x", Gate(GateKind.NOT, ())), 2),
+            "gate 1 'x' is not a Gate",
+        ),
+        "input-kind-without-inputs": (
+            ((Gate(GateKind.INPUT), types.SimpleNamespace(kind=GateKind.INPUT)), 0),
+            "gate 1 namespace(kind=<GateKind.INPUT: 'input'>) is not a Gate",
+        ),
     }
 
     @pytest.mark.parametrize("name", CASES)
@@ -403,7 +421,8 @@ class TestEval:
 
     @pytest.mark.parametrize("kind", LOGIC_KINDS, ids=lambda k: k.value)
     def test_every_feed_tuple_matches_gate_value(self, kind):
-        for arity in (1,) if kind is GateKind.NOT else (1, 2, 3, 4):
+        # MAJORITY up to arity 7 covers ties at arities 2, 4 and 6
+        for arity in (1,) if kind is GateKind.NOT else range(1, 8) if kind is GateKind.MAJORITY else (1, 2, 3, 4):
             gates = (Gate(GateKind.INPUT),) * arity + (Gate(kind, tuple(range(arity))),)
             c = Circuit(gates, arity)
             for bits in itertools.product((0, 1), repeat=arity):

@@ -1,8 +1,10 @@
 """Permutation composition, serial/tree folds, derived series, wire format."""
 
+import dataclasses
 import itertools
 import math
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -108,6 +110,46 @@ class TestFolds:
         assert fold_serial(word, ms) == fold_tree(word, mt) == word_product(word)
         assert (ms.work, ms.depth) == (n - 1, n - 1)
         assert (mt.work, mt.depth) == (n - 1, math.ceil(math.log2(n)))
+
+    @pytest.mark.parametrize(
+        "lengths",
+        [range(1, 601), (255, 256, 257, 511, 512, 513), (65535, 65536, 65537), (2**17 + 3,)],
+        ids=["1-600", "block-edges", "2^16-edges", "two-block-stages"],
+    )
+    def test_block_walk_matches_serial_and_oracle(self, lengths):
+        word = random_word(len(lengths), max(lengths))
+        for n in lengths:
+            prefix = word[:n]
+            assert fold_tree(prefix) == fold_serial(prefix) == word_product(prefix), n
+
+    def test_tree_charges_each_level_in_order(self):
+        @dataclasses.dataclass
+        class RecordingMeter(CostMeter):
+            charges: list = dataclasses.field(default_factory=list)
+
+            def charge(self, work, depth):
+                self.charges.append((work, depth))
+                super().charge(work, depth)
+
+        for n in (1, 2, 3, 7, 256, 257, 1000, 65537):
+            levels, m = [], n
+            while m > 1:  # a level of m nodes makes floor(m/2) pairs and keeps ceil(m/2) nodes
+                levels.append((m // 2, 1))
+                m = (m + 1) // 2
+            meter = RecordingMeter()
+            fold_tree(random_word(n, n), meter)
+            assert meter.charges == levels, n
+
+    def test_tree_keeps_no_whole_level_alive(self):
+        word = random_word(5, 1 << 16)
+        tracemalloc.start()
+        try:
+            product = fold_tree(word)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert product == fold_serial(word)
+        assert peak < 256 * 1024  # a first level of 32,768 new tuples alone is about 2.5 MiB
 
     def test_serial_fold_order_matters_example(self):
         # non-commutative: two orders of the same letters differ
